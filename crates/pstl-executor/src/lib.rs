@@ -32,7 +32,6 @@ pub mod metrics;
 pub mod runtime;
 pub mod seq;
 pub mod service;
-pub mod service_pool;
 pub mod sync;
 pub mod task_pool;
 pub mod topology;
@@ -52,7 +51,6 @@ pub use service::{
     BatchPolicy, JobHandle, JobOutcome, JobService, JobSpec, Priority, Rejected, RetryPolicy,
     ServiceConfig, ServiceStatsSnapshot, ShedReason,
 };
-pub use service_pool::ServicePool;
 pub use task_pool::{Scope, TaskPool};
 pub use topology::Topology;
 pub use work_stealing::WorkStealingPool;
@@ -313,12 +311,19 @@ pub enum Discipline {
     /// Contiguous blocks submitted as futures that the caller awaits
     /// (HPX's `async`/`when_all` idiom over the same central queue).
     Futures,
-    /// Core-pinned workers draining contiguous blocks from a shared
-    /// FIFO (the multi-tenant service substrate).
-    ServicePool,
 }
 
 impl Discipline {
+    /// The four runtime-backed pools (every discipline but
+    /// `Sequential`), in stable report order — the axis every test
+    /// matrix iterates.
+    pub const POOLS: [Discipline; 4] = [
+        Discipline::ForkJoin,
+        Discipline::WorkStealing,
+        Discipline::TaskPool,
+        Discipline::Futures,
+    ];
+
     /// Stable lowercase name, used in bench labels and JSON output.
     pub fn name(self) -> &'static str {
         match self {
@@ -327,7 +332,6 @@ impl Discipline {
             Discipline::WorkStealing => "work_stealing",
             Discipline::TaskPool => "task_pool",
             Discipline::Futures => "futures",
-            Discipline::ServicePool => "service_pool",
         }
     }
 }
@@ -367,7 +371,6 @@ pub fn build_pool_faulted(
         }
         Discipline::TaskPool => Arc::new(TaskPool::with_topology_faulted(topology, plan)),
         Discipline::Futures => Arc::new(FuturesPool::with_topology_faulted(topology, plan)),
-        Discipline::ServicePool => Arc::new(ServicePool::with_topology_faulted(topology, plan)),
     }
 }
 
@@ -396,14 +399,7 @@ mod tests {
 
     #[test]
     fn all_disciplines_cover_index_space() {
-        for d in [
-            Discipline::Sequential,
-            Discipline::ForkJoin,
-            Discipline::WorkStealing,
-            Discipline::TaskPool,
-            Discipline::Futures,
-            Discipline::ServicePool,
-        ] {
+        for d in std::iter::once(Discipline::Sequential).chain(Discipline::POOLS) {
             for threads in [1usize, 2, 4] {
                 let pool = build_pool(d, threads);
                 exercise(&*pool);
@@ -418,16 +414,13 @@ mod tests {
         assert_eq!(Discipline::WorkStealing.name(), "work_stealing");
         assert_eq!(Discipline::TaskPool.name(), "task_pool");
         assert_eq!(Discipline::Futures.name(), "futures");
-        assert_eq!(Discipline::ServicePool.name(), "service_pool");
     }
 
     #[test]
     fn num_threads_reports_configuration() {
-        assert_eq!(build_pool(Discipline::ForkJoin, 3).num_threads(), 3);
-        assert_eq!(build_pool(Discipline::WorkStealing, 2).num_threads(), 2);
-        assert_eq!(build_pool(Discipline::TaskPool, 2).num_threads(), 2);
-        assert_eq!(build_pool(Discipline::Futures, 2).num_threads(), 2);
-        assert_eq!(build_pool(Discipline::ServicePool, 2).num_threads(), 2);
+        for d in Discipline::POOLS {
+            assert_eq!(build_pool(d, 3).num_threads(), 3, "{}", d.name());
+        }
         assert_eq!(build_pool(Discipline::Sequential, 8).num_threads(), 1);
     }
 
@@ -462,28 +455,10 @@ mod panic_tests {
     }
 
     #[test]
-    fn fork_join_propagates_panics_and_survives() {
-        panics_propagate(&*build_pool(Discipline::ForkJoin, 3));
-    }
-
-    #[test]
-    fn work_stealing_propagates_panics_and_survives() {
-        panics_propagate(&*build_pool(Discipline::WorkStealing, 3));
-    }
-
-    #[test]
-    fn task_pool_propagates_panics_and_survives() {
-        panics_propagate(&*build_pool(Discipline::TaskPool, 3));
-    }
-
-    #[test]
-    fn futures_propagates_panics_and_survives() {
-        panics_propagate(&*build_pool(Discipline::Futures, 3));
-    }
-
-    #[test]
-    fn service_pool_propagates_panics_and_survives() {
-        panics_propagate(&*build_pool(Discipline::ServicePool, 3));
+    fn every_pool_propagates_panics_and_survives() {
+        for d in Discipline::POOLS {
+            panics_propagate(&*build_pool(d, 3));
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! file (the call site) — no pool file changes, and the counter appears
 //! in every pool's `SchedDelta` JSON because the harness serializes
 //! [`MetricsSnapshot`](crate::metrics::MetricsSnapshot) wholesale.
-//! Adding a backend means writing a strategy; see `service_pool.rs`
-//! for the template (~150 lines, none of them lifecycle).
+//! Adding a backend means writing a strategy; see `fork_join.rs` for
+//! the smallest one (none of it lifecycle).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -335,13 +335,6 @@ pub trait WorkerStrategy: Send + Sync + 'static {
     /// work ran (the worker loop retries immediately), `false` if the
     /// discipline is dry (the worker checks shutdown and parks).
     fn try_work(&self, ctx: &WorkerCtx<'_>, local: &mut Self::Local) -> bool;
-
-    /// Called once on each spawned worker thread before its first
-    /// `try_work` — the hook pinned-thread pools use to set affinity.
-    /// The caller thread (worker 0) is never pinned. Default: nothing.
-    fn on_worker_start(&self, ctx: &WorkerCtx<'_>) {
-        let _ = ctx;
-    }
 }
 
 struct RtShared<S: WorkerStrategy> {
@@ -493,7 +486,6 @@ fn worker_loop<S: WorkerStrategy>(shared: &RtShared<S>, worker: usize, mut local
         node: shared.core.topology.node_of(worker),
         rec: shared.core.tracer.recorder(worker),
     };
-    shared.strategy.on_worker_start(&ctx);
     loop {
         // Epoch read precedes the work search: a notify between a dry
         // search and the park bumps the epoch, so the park returns

@@ -1,6 +1,6 @@
 //! Extension experiment: streaming pipelines and farms on the shared
 //! runtime (see `experiments::stream`). Streams ≥1M items through a
-//! word-count farm on both channel backends and through an image
+//! word-count farm and through an image
 //! pipeline with ordered and unordered farms, then writes the
 //! `BENCH_stream.json` baseline consumed by the `bench-diff` perf gate
 //! (`--ratios-only` compares the `gates` object).
@@ -16,14 +16,13 @@ fn main() {
         doc.items, doc.threads, doc.farm_replicas, doc.capacity
     );
     println!(
-        "{:<18} {:>7} {:>8} {:>11} {:>12} {:>11} {:>18}",
-        "row", "channel", "ordered", "elapsed ms", "M items/s", "push waits", "checksum"
+        "{:<18} {:>8} {:>11} {:>12} {:>11} {:>18}",
+        "row", "ordered", "elapsed ms", "M items/s", "push waits", "checksum"
     );
     for row in &doc.rows {
         println!(
-            "{:<18} {:>7} {:>8} {:>11.1} {:>12.2} {:>11} {:>18x}",
+            "{:<18} {:>8} {:>11.1} {:>12.2} {:>11} {:>18x}",
             row.name,
-            row.channel,
             row.ordered,
             row.elapsed_ns as f64 / 1e6,
             row.throughput_items_per_sec / 1e6,
@@ -36,11 +35,7 @@ fn main() {
 
     println!("\ngates (machine-independent, diffed by CI):");
     println!(
-        "  ring_vs_mutex_throughput_ratio {:.3}  (committed baseline >= 1.0)",
-        doc.gates.ring_vs_mutex_throughput_ratio
-    );
-    println!(
-        "  ordered_farm_makespan_ratio    {:.3}  (committed baseline <= 1.5)",
+        "  ordered_farm_makespan_ratio {:.3}  (committed baseline <= 1.5)",
         doc.gates.ordered_farm_makespan_ratio
     );
 

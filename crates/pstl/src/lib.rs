@@ -90,7 +90,7 @@ pub use algorithms::sort::{
 pub use algorithms::transform::{transform, transform_binary};
 pub use algorithms::unique_remove::{remove_if, replace, replace_if, unique, unique_copy};
 pub use kernel::sort::RadixKey;
-pub use stream::{ChannelKind, Pipeline, PipelineError, PipelineErrorKind, StreamStats};
+pub use stream::{Pipeline, PipelineError, PipelineErrorKind, StreamStats};
 
 /// One-line import of the policy types and all algorithms.
 pub mod prelude {
@@ -114,5 +114,5 @@ pub mod prelude {
     pub use crate::algorithms::sort::*;
     pub use crate::algorithms::transform::*;
     pub use crate::algorithms::unique_remove::*;
-    pub use crate::stream::{ChannelKind, Pipeline, PipelineError, PipelineErrorKind, StreamStats};
+    pub use crate::stream::{Pipeline, PipelineError, PipelineErrorKind, StreamStats};
 }

@@ -1,96 +1,17 @@
-//! Bounded inter-stage channels for the streaming layer.
+//! The bounded inter-stage channel of the streaming layer.
 //!
-//! Every edge of a pipeline is one bounded queue behind the [`Channel`]
-//! trait; capacity is the backpressure mechanism (a full channel stalls
-//! the producing stage, never blocks it — the engine is cooperative, so
-//! "waiting" means the stage worker moves on to other stages and
-//! retries on its next visit). Two backends implement the trait:
-//!
-//! * [`RingChannel`] — a homegrown bounded MPMC ring in the style of
-//!   Vyukov's array queue: one sequence number per slot, producers and
-//!   consumers claim positions by CAS, no locks anywhere on the
-//!   push/pop paths;
-//! * [`MutexChannel`] — the baseline: a `VecDeque` behind a mutex, the
-//!   try-API analog of the classic mutex/condvar bounded queue (the
-//!   engine never sleeps on a channel, so the condvar half is played by
-//!   cooperative re-visits).
-//!
-//! The `ext_stream` experiment benches the two head-to-head on the same
-//! pipeline; [`ChannelKind`] is the runtime selector tests and benches
-//! iterate over.
-//!
-//! # Close protocol
-//!
-//! `close()` is called exactly once, by the last finishing producer of
-//! the edge, strictly *after* its final `try_push`. Consumers must read
-//! [`is_closed`](Channel::is_closed) *before* [`try_pop`](Channel::try_pop):
-//! if the flag was already set when the pop came back empty, the
-//! emptiness is final (all pushes happened before the close); an empty
-//! pop alone is not a termination signal.
+//! Every edge of a pipeline is one [`RingChannel`]; capacity is the
+//! backpressure mechanism (a full channel stalls the producing stage,
+//! never blocks it — the engine is cooperative, so "waiting" means the
+//! stage worker moves on to other stages and retries on its next
+//! visit). The ring is a homegrown bounded MPMC queue in the style of
+//! Vyukov's array queue: one sequence number per slot, producers and
+//! consumers claim positions by CAS, no locks anywhere on the push/pop
+//! paths.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-/// A bounded multi-producer multi-consumer queue with non-blocking
-/// endpoints, plus a one-shot close flag for end-of-stream.
-///
-/// Implementations must be linearizable FIFO per producer/consumer pair
-/// (a single producer pushing into a single-consumer edge is observed
-/// in push order) and must never block: `try_push` on a full channel
-/// returns the item back, `try_pop` on an empty one returns `None`.
-pub trait Channel<T>: Send + Sync {
-    /// Push `item`, or hand it back if the channel is full.
-    fn try_push(&self, item: T) -> Result<(), T>;
-
-    /// Pop the oldest available item, or `None` if empty right now.
-    fn try_pop(&self) -> Option<T>;
-
-    /// Latch the end-of-stream flag. Items already queued remain
-    /// poppable; pushing after close is a caller bug the channel does
-    /// not police (the engine's producer counting makes it impossible).
-    fn close(&self);
-
-    /// Whether [`close`](Self::close) has been called. See the module
-    /// docs for the read-before-pop termination protocol.
-    fn is_closed(&self) -> bool;
-
-    /// The exact item bound this channel was created with.
-    fn capacity(&self) -> usize;
-}
-
-/// Which [`Channel`] backend a pipeline's edges use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelKind {
-    /// Lock-free bounded MPMC ring ([`RingChannel`]).
-    Ring,
-    /// Mutex-guarded `VecDeque` baseline ([`MutexChannel`]).
-    Mutex,
-}
-
-impl ChannelKind {
-    /// Both backends, in stable report order.
-    pub const ALL: [ChannelKind; 2] = [ChannelKind::Ring, ChannelKind::Mutex];
-
-    /// Stable lowercase name, used in bench labels and JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChannelKind::Ring => "ring",
-            ChannelKind::Mutex => "mutex",
-        }
-    }
-
-    /// Build a channel of this kind with (at least) `capacity` slots.
-    pub fn make<T: Send + 'static>(self, capacity: usize) -> Arc<dyn Channel<T>> {
-        match self {
-            ChannelKind::Ring => Arc::new(RingChannel::<T>::new(capacity)),
-            ChannelKind::Mutex => Arc::new(MutexChannel::<T>::new(capacity)),
-        }
-    }
-}
 
 /// One ring slot: the sequence number encodes whose turn the slot is
 /// (Vyukov's scheme — `seq == pos` means free for the producer claiming
@@ -111,6 +32,20 @@ struct Slot<T> {
 /// spurious full is just one extra cooperative retry). Push and pop are
 /// lock-free: claim a position with CAS, then publish via the slot's
 /// sequence number.
+///
+/// Both endpoints are non-blocking: [`try_push`](Self::try_push) on a
+/// full ring hands the item back, [`try_pop`](Self::try_pop) on an
+/// empty one returns `None`. A single producer feeding a single
+/// consumer is observed in push order.
+///
+/// # Close protocol
+///
+/// [`close`](Self::close) is called exactly once, by the last finishing
+/// producer of the edge, strictly *after* its final `try_push`.
+/// Consumers must read [`is_closed`](Self::is_closed) *before*
+/// [`try_pop`](Self::try_pop): if the flag was already set when the pop
+/// came back empty, the emptiness is final (all pushes happened before
+/// the close); an empty pop alone is not a termination signal.
 pub struct RingChannel<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
@@ -148,8 +83,9 @@ impl<T> RingChannel<T> {
     }
 }
 
-impl<T: Send> Channel<T> for RingChannel<T> {
-    fn try_push(&self, item: T) -> Result<(), T> {
+impl<T: Send> RingChannel<T> {
+    /// Push `item`, or hand it back if the ring is full.
+    pub fn try_push(&self, item: T) -> Result<(), T> {
         let mut pos = self.enqueue.load(Ordering::Relaxed);
         loop {
             // Exact logical bound (the slot count may be larger).
@@ -183,7 +119,8 @@ impl<T: Send> Channel<T> for RingChannel<T> {
         }
     }
 
-    fn try_pop(&self) -> Option<T> {
+    /// Pop the oldest available item, or `None` if empty right now.
+    pub fn try_pop(&self) -> Option<T> {
         let mut pos = self.dequeue.load(Ordering::Relaxed);
         loop {
             let slot = &self.slots[pos & self.mask];
@@ -216,15 +153,21 @@ impl<T: Send> Channel<T> for RingChannel<T> {
         }
     }
 
-    fn close(&self) {
+    /// Latch the end-of-stream flag. Items already queued remain
+    /// poppable; pushing after close is a caller bug the ring does not
+    /// police (the engine's producer counting makes it impossible).
+    pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }
 
-    fn is_closed(&self) -> bool {
+    /// Whether [`close`](Self::close) has been called. See the type
+    /// docs for the read-before-pop termination protocol.
+    pub fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 
-    fn capacity(&self) -> usize {
+    /// The exact item bound this ring was created with.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 }
@@ -247,59 +190,13 @@ impl<T> Drop for RingChannel<T> {
     }
 }
 
-/// The baseline [`Channel`]: a `VecDeque` behind a mutex with an exact
-/// capacity bound.
-pub struct MutexChannel<T> {
-    queue: Mutex<std::collections::VecDeque<T>>,
-    capacity: usize,
-    closed: AtomicBool,
-}
-
-impl<T> MutexChannel<T> {
-    /// A queue bounded at exactly `capacity` items (`0` is bumped to 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        MutexChannel {
-            queue: Mutex::new(std::collections::VecDeque::with_capacity(capacity)),
-            capacity,
-            closed: AtomicBool::new(false),
-        }
-    }
-}
-
-impl<T: Send> Channel<T> for MutexChannel<T> {
-    fn try_push(&self, item: T) -> Result<(), T> {
-        let mut q = self.queue.lock();
-        if q.len() >= self.capacity {
-            Err(item)
-        } else {
-            q.push_back(item);
-            Ok(())
-        }
-    }
-
-    fn try_pop(&self) -> Option<T> {
-        self.queue.lock().pop_front()
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
-    fn fifo_and_bounds(chan: &dyn Channel<u32>) {
+    fn fifo_and_bounds(chan: &RingChannel<u32>) {
         let cap = chan.capacity();
         for i in 0..cap as u32 {
             assert_eq!(chan.try_push(i), Ok(()));
@@ -322,32 +219,21 @@ mod tests {
     }
 
     #[test]
-    fn mutex_fifo_and_bounds() {
-        for cap in [1usize, 2, 3, 8] {
-            fifo_and_bounds(&MutexChannel::new(cap));
-        }
-    }
-
-    #[test]
-    fn capacity_bound_is_exact_for_both_backends() {
+    fn capacity_bound_is_exact() {
         assert_eq!(RingChannel::<u8>::new(3).capacity(), 3);
         assert_eq!(RingChannel::<u8>::new(1).capacity(), 1);
         assert_eq!(RingChannel::<u8>::new(0).capacity(), 1);
-        assert_eq!(MutexChannel::<u8>::new(3).capacity(), 3);
-        assert_eq!(MutexChannel::<u8>::new(0).capacity(), 1);
     }
 
     #[test]
     fn close_latches_and_items_survive_close() {
-        for kind in ChannelKind::ALL {
-            let chan = kind.make::<u32>(4);
-            assert!(!chan.is_closed());
-            chan.try_push(1).unwrap();
-            chan.close();
-            assert!(chan.is_closed(), "{}", kind.name());
-            assert_eq!(chan.try_pop(), Some(1), "queued item poppable after close");
-            assert_eq!(chan.try_pop(), None);
-        }
+        let chan = RingChannel::<u32>::new(4);
+        assert!(!chan.is_closed());
+        chan.try_push(1).unwrap();
+        chan.close();
+        assert!(chan.is_closed());
+        assert_eq!(chan.try_pop(), Some(1), "queued item poppable after close");
+        assert_eq!(chan.try_pop(), None);
     }
 
     #[test]
@@ -364,55 +250,45 @@ mod tests {
 
     #[test]
     fn concurrent_producers_consumers_preserve_multiset() {
-        // Small enough to run under miri; exercises the CAS paths of
-        // both backends under real contention.
-        for kind in ChannelKind::ALL {
-            let chan = kind.make::<u32>(4);
-            let n = 200u32;
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            std::thread::scope(|s| {
-                for p in 0..2u32 {
-                    let chan = Arc::clone(&chan);
-                    s.spawn(move || {
-                        for i in 0..n {
-                            let mut v = p * n + i;
-                            loop {
-                                match chan.try_push(v) {
-                                    Ok(()) => break,
-                                    Err(back) => {
-                                        v = back;
-                                        std::thread::yield_now();
-                                    }
+        // Small enough to run under miri; exercises the CAS paths
+        // under real contention.
+        let chan = &RingChannel::<u32>::new(4);
+        let n = 200u32;
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|s| {
+            for p in 0..2u32 {
+                s.spawn(move || {
+                    for i in 0..n {
+                        let mut v = p * n + i;
+                        loop {
+                            match chan.try_push(v) {
+                                Ok(()) => break,
+                                Err(back) => {
+                                    v = back;
+                                    std::thread::yield_now();
                                 }
                             }
                         }
-                    });
-                }
-                for _ in 0..2 {
-                    let chan = Arc::clone(&chan);
-                    let seen = Arc::clone(&seen);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        while got.len() < n as usize {
-                            match chan.try_pop() {
-                                Some(v) => got.push(v),
-                                None => std::thread::yield_now(),
-                            }
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let seen = Arc::clone(&seen);
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    while got.len() < n as usize {
+                        match chan.try_pop() {
+                            Some(v) => got.push(v),
+                            None => std::thread::yield_now(),
                         }
-                        seen.lock().extend(got);
-                    });
-                }
-            });
-            let mut all = seen.lock().clone();
-            all.sort_unstable();
-            let expect: Vec<u32> = (0..2 * n).collect();
-            assert_eq!(all, expect, "{} lost or duplicated items", kind.name());
-        }
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(ChannelKind::Ring.name(), "ring");
-        assert_eq!(ChannelKind::Mutex.name(), "mutex");
+                    }
+                    seen.lock().extend(got);
+                });
+            }
+        });
+        let mut all = seen.lock().clone();
+        all.sort_unstable();
+        let expect: Vec<u32> = (0..2 * n).collect();
+        assert_eq!(all, expect, "lost or duplicated items");
     }
 }

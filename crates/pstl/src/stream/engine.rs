@@ -21,8 +21,8 @@
 //!
 //! * normal end-of-stream propagates by producer counting — the last
 //!   finishing producer of an edge closes its channel, consumers treat
-//!   *closed observed before an empty pop* as final (see the channel
-//!   module's close protocol);
+//!   *closed observed before an empty pop* as final (see the close
+//!   protocol on [`RingChannel`]);
 //! * a panic in any user closure is contained through
 //!   [`runtime::contain`] (the §14 envelope — this module adds no
 //!   containment machinery of its own), poisons the run, and surfaces as
@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use pstl_executor::runtime;
 use pstl_executor::{CancelToken, Executor};
 
-use super::channel::{Channel, ChannelKind};
+use super::channel::RingChannel;
 use super::{PipelineError, PipelineErrorKind, StreamStats};
 
 /// Items processed per node claim before the driver moves on — bounds
@@ -59,19 +59,20 @@ type Seq<V> = (u64, V);
 /// Channel plus the number of still-active producers feeding it. The
 /// last producer to finish closes the channel.
 struct Edge<V> {
-    chan: Arc<dyn Channel<Seq<V>>>,
+    chan: RingChannel<Seq<V>>,
     producers: AtomicUsize,
 }
 
-impl<V> Edge<V> {
+impl<V: Send> Edge<V> {
     fn producer_done(&self) {
         if self.producers.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.chan.close();
         }
     }
 
-    /// Closed-before-empty end-of-stream check (see channel docs: the
-    /// flag must be read *before* the failed pop to be conclusive).
+    /// Closed-before-empty end-of-stream check (see the ring's close
+    /// protocol: the flag must be read *before* the failed pop to be
+    /// conclusive).
     fn pop_or_eos(&self) -> PopResult<Seq<V>> {
         let closed = self.chan.is_closed();
         match self.chan.try_pop() {
@@ -189,17 +190,15 @@ pub(super) struct Graph {
 
 /// Accumulates the graph while the type-erased stage makers run.
 pub(super) struct Build {
-    pub(super) kind: ChannelKind,
-    pub(super) capacity: usize,
+    capacity: usize,
     nodes: Vec<NodeSlot>,
     edge_drains: Vec<Box<dyn FnMut() -> u64 + Send>>,
     shared: Arc<Shared>,
 }
 
 impl Build {
-    pub(super) fn new(kind: ChannelKind, capacity: usize) -> Self {
+    pub(super) fn new(capacity: usize) -> Self {
         Build {
-            kind,
             capacity,
             nodes: Vec::new(),
             edge_drains: Vec::new(),
@@ -209,7 +208,7 @@ impl Build {
 
     fn new_edge<V: Send + 'static>(&mut self, producers: usize) -> Arc<Edge<V>> {
         let edge = Arc::new(Edge {
-            chan: self.kind.make::<Seq<V>>(self.capacity),
+            chan: RingChannel::new(self.capacity),
             producers: AtomicUsize::new(producers),
         });
         let drain = Arc::clone(&edge);
@@ -673,6 +672,14 @@ fn drive(graph: &Graph, origin: usize, exec: &dyn Executor) {
             let Some(mut node) = slot.node.try_lock() else {
                 continue;
             };
+            // Re-check under the lock: the flag may have been set by the
+            // driver that just released this node (a panicked node must
+            // never be stepped again, nor its user closure re-called).
+            // Relaxed suffices: that driver stored it before the
+            // releasing unlock this `try_lock` acquired.
+            if slot.done.load(Ordering::Relaxed) {
+                continue;
+            }
             match runtime::contain(|| node.step(shared)) {
                 Ok(step) => {
                     drop(node);
@@ -686,12 +693,13 @@ fn drive(graph: &Graph, origin: usize, exec: &dyn Executor) {
                     }
                 }
                 Err(payload) => {
-                    drop(node);
-                    // Quarantine the panicked node; teardown still
-                    // drains it (the poisoned lock is parking_lot, so
-                    // no poisoning semantics to undo).
+                    // Quarantine the panicked node *before* releasing
+                    // its lock, so no other driver can claim and
+                    // re-step it; teardown still drains it (the lock is
+                    // parking_lot, so no poisoning semantics to undo).
                     slot.done.store(true, Ordering::Relaxed);
                     shared.poison_panic(slot.stage, payload);
+                    drop(node);
                     return;
                 }
             }

@@ -33,11 +33,10 @@
 //!   preserve source order end to end; [`farm`](PipelineBuilder::farm)
 //!   trades order for throughput (multiset semantics — same items, any
 //!   order).
-//! * **Backpressure** — every edge is a bounded [`Channel`]
-//!   ([`capacity`](PipelineBuilder::capacity) items, backend selected
-//!   by [`channel`](PipelineBuilder::channel)); a full channel stalls
-//!   the producing stage cooperatively and counts a `stage_push_waits`
-//!   metric tick.
+//! * **Backpressure** — every edge is a bounded [`RingChannel`]
+//!   ([`capacity`](PipelineBuilder::capacity) items); a full channel
+//!   stalls the producing stage cooperatively and counts a
+//!   `stage_push_waits` metric tick.
 //! * **Cancellation** — attach a [`CancelToken`]
 //!   ([`with_cancel`](PipelineBuilder::with_cancel)); once it trips
 //!   (manually or by deadline), drivers stop within one bounded burst,
@@ -63,7 +62,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pstl_executor::{CancelToken, Executor};
 
-pub use channel::{Channel, ChannelKind, MutexChannel, RingChannel};
+pub use channel::RingChannel;
 
 /// Default bound of every inter-stage channel.
 pub const DEFAULT_CAPACITY: usize = 64;
@@ -151,7 +150,6 @@ impl Pipeline {
             source: Box::new(move |build| engine::make_source(build, iter)),
             stages: Vec::new(),
             next_stage: 1,
-            kind: ChannelKind::Ring,
             capacity: DEFAULT_CAPACITY,
             cancel: None,
             _marker: std::marker::PhantomData,
@@ -166,20 +164,12 @@ pub struct PipelineBuilder<T> {
     source: SourceMaker,
     stages: Vec<StageMaker>,
     next_stage: usize,
-    kind: ChannelKind,
     capacity: usize,
     cancel: Option<CancelToken>,
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<T: Send + 'static> PipelineBuilder<T> {
-    /// Select the [`Channel`] backend for every edge (default:
-    /// [`ChannelKind::Ring`]).
-    pub fn channel(mut self, kind: ChannelKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// Bound every edge at exactly `capacity` items (default
     /// [`DEFAULT_CAPACITY`]). Capacity 1 is valid and fully
     /// backpressured.
@@ -265,7 +255,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             source: self.source,
             stages: self.stages,
             sink: Box::new(move |build, input| engine::make_sink::<T, F>(build, stage, f, input)),
-            kind: self.kind,
             capacity: self.capacity,
             cancel: self.cancel,
         }
@@ -288,7 +277,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             source: self.source,
             stages: self.stages,
             next_stage: self.next_stage + 1,
-            kind: self.kind,
             capacity: self.capacity,
             cancel: self.cancel,
             _marker: std::marker::PhantomData,
@@ -301,7 +289,6 @@ pub struct SinkedPipeline {
     source: SourceMaker,
     stages: Vec<StageMaker>,
     sink: SinkMaker,
-    kind: ChannelKind,
     capacity: usize,
     cancel: Option<CancelToken>,
 }
@@ -312,7 +299,7 @@ impl SinkedPipeline {
     /// Works on every discipline, including `Sequential`
     /// (`threads == 1` cooperatively steps all stages inline).
     pub fn run(self, exec: &dyn Executor) -> Result<StreamStats, PipelineError> {
-        let mut build = engine::Build::new(self.kind, self.capacity);
+        let mut build = engine::Build::new(self.capacity);
         let mut edge = (self.source)(&mut build);
         for stage in self.stages {
             edge = stage(&mut build, edge);
@@ -380,28 +367,24 @@ mod tests {
 
     #[test]
     fn empty_stream_and_capacity_one_work() {
-        for kind in ChannelKind::ALL {
-            let pool = build_pool(Discipline::Futures, 2);
-            let got = Pipeline::source(std::iter::empty::<u8>())
-                .channel(kind)
-                .stage(|x| x)
-                .collect(&*pool)
-                .unwrap();
-            assert!(got.is_empty());
+        let pool = build_pool(Discipline::Futures, 2);
+        let got = Pipeline::source(std::iter::empty::<u8>())
+            .stage(|x| x)
+            .collect(&*pool)
+            .unwrap();
+        assert!(got.is_empty());
 
-            let got = Pipeline::source(0..40u32)
-                .channel(kind)
-                .capacity(1)
-                .ordered_farm(2, |x| x)
-                .collect(&*pool)
-                .unwrap();
-            assert_eq!(got, (0..40).collect::<Vec<_>>());
-        }
+        let got = Pipeline::source(0..40u32)
+            .capacity(1)
+            .ordered_farm(2, |x| x)
+            .collect(&*pool)
+            .unwrap();
+        assert_eq!(got, (0..40).collect::<Vec<_>>());
     }
 
     #[test]
     fn run_reports_flow_stats() {
-        let pool = build_pool(Discipline::ServicePool, 2);
+        let pool = build_pool(Discipline::TaskPool, 2);
         let stats = Pipeline::source(0..1000u32)
             .farm(2, |x| x)
             .sink(|_| {})

@@ -11,14 +11,6 @@ use std::time::{Duration, Instant};
 use pstl::{ExecutionPolicy, ParConfig, Partitioner};
 use pstl_executor::{build_pool, CancelToken, Cancelled, Discipline, Executor};
 
-const REAL_POOLS: [Discipline; 5] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-    Discipline::ServicePool,
-];
-
 fn assert_reusable(pool: &Arc<dyn Executor>) {
     let hits = AtomicUsize::new(0);
     pool.run(333, &|_| {
@@ -39,7 +31,7 @@ fn run_with_deadline_cancels_promptly_on_every_pool() {
     // one in-flight body per worker plus the (cheap, latched) polls for
     // the remaining indices, so a generous wall-clock ceiling still
     // proves the region did not run to completion.
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 4);
         let start = Instant::now();
         let result = pool.run_with_deadline(
@@ -62,7 +54,7 @@ fn run_with_deadline_cancels_promptly_on_every_pool() {
 
 #[test]
 fn run_cancellable_is_exact_when_token_never_trips() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let token = CancelToken::new();
         let hits = AtomicUsize::new(0);
@@ -80,7 +72,7 @@ fn run_cancellable_is_exact_when_token_never_trips() {
 
 #[test]
 fn pre_tripped_token_skips_every_body() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let token = CancelToken::new();
         token.cancel();
@@ -104,7 +96,7 @@ fn pre_tripped_token_skips_every_body() {
 fn cancelled_tasks_reach_sched_delta_json() {
     use pstl_harness::{to_json, Bench, BenchConfig};
 
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 2);
         let exec = Arc::clone(&pool);
         let m = Bench::new("cancelled_region")
@@ -148,7 +140,7 @@ fn cancellable_policies(pool: &Arc<dyn Executor>, token: &CancelToken) -> Vec<Ex
 
 #[test]
 fn algorithms_bail_with_typed_error_under_every_partitioner() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let data: Vec<u64> = (0..50_000).collect();
         let token = CancelToken::new();
@@ -172,7 +164,7 @@ fn algorithms_bail_with_typed_error_under_every_partitioner() {
 fn mid_run_cancellation_stops_a_long_region() {
     // The region itself trips the token part-way through: later chunks
     // must bail instead of processing the rest of the index space.
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 4);
         let token = CancelToken::new();
         let policy = ExecutionPolicy::par_with(Arc::clone(&pool), ParConfig::with_grain(32))
@@ -203,7 +195,7 @@ fn mid_run_cancellation_stops_a_long_region() {
 
 #[test]
 fn deadline_token_cancels_algorithm_level_region() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let policy = ExecutionPolicy::par_with(Arc::clone(&pool), ParConfig::with_grain(8))
             .with_cancel(CancelToken::with_deadline(Duration::from_millis(5)));
@@ -223,7 +215,7 @@ fn search_regions_bail_under_every_pool_and_partitioner() {
     // Matchless haystack: only the token can stop the scan, so the
     // early-exit engine must surface `Err(Cancelled)` from its poll
     // points rather than returning a bogus `None`.
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let data: Vec<u64> = vec![0; 200_000];
         let token = CancelToken::new();
@@ -244,7 +236,7 @@ fn search_regions_bail_under_every_pool_and_partitioner() {
 fn deadline_mid_search_cancels_and_pool_stays_reusable() {
     // The deadline trips while the search is scanning; in-flight poll
     // blocks finish and every later chunk bails at its entry check.
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 4);
         let policy = ExecutionPolicy::par_with(Arc::clone(&pool), ParConfig::with_grain(64))
             .with_cancel(CancelToken::with_deadline(Duration::from_millis(5)));

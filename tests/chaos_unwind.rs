@@ -2,9 +2,6 @@
 //! call indices and verify, by exact drop counting, that every pool ×
 //! partitioner × algorithm combination neither leaks nor double-drops a
 //! single element — and that the pool is immediately reusable.
-//!
-//! All cases share one global live-object counter, so they run inside a
-//! single `#[test]` to keep the balance check exact.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,30 +12,31 @@ use pstl::{ExecutionPolicy, ParConfig, Partitioner};
 use pstl_executor::{build_pool, Discipline};
 
 /// Net count of live [`Elem`] values across every construction path
-/// (`new`, `Clone`) and `Drop`. Zero between cases means perfect drop
-/// balance.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// (`new`, `Clone`) and `Drop`, owned by one test (never a static, so
+/// tests running in parallel cannot disturb each other's count). An
+/// unchanged count across a case means perfect drop balance.
+type Live = Arc<AtomicIsize>;
 
+/// A value that carries the counter it was counted on.
 #[derive(Debug)]
-struct Elem(u64);
+struct Elem(u64, Live);
 
 impl Elem {
-    fn new(v: u64) -> Self {
-        LIVE.fetch_add(1, Ordering::SeqCst);
-        Elem(v)
+    fn new(v: u64, live: &Live) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        Elem(v, Arc::clone(live))
     }
 }
 
 impl Clone for Elem {
     fn clone(&self) -> Self {
-        LIVE.fetch_add(1, Ordering::SeqCst);
-        Elem(self.0)
+        Elem::new(self.0, &self.1)
     }
 }
 
 impl Drop for Elem {
     fn drop(&mut self) {
-        LIVE.fetch_sub(1, Ordering::SeqCst);
+        self.1.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -98,21 +96,17 @@ impl Trip {
 
 static ORD_TRIP: Trip = Trip::new();
 
-fn elems(n: usize) -> Vec<Elem> {
+fn elems(n: usize, live: &Live) -> Vec<Elem> {
     // Descending with duplicates: sorts do real work, predicates split
     // roughly in half.
-    (0..n).map(|i| Elem::new(((n - i) / 2) as u64)).collect()
+    (0..n)
+        .map(|i| Elem::new(((n - i) / 2) as u64, live))
+        .collect()
 }
 
 fn policies() -> Vec<(String, ExecutionPolicy)> {
     let mut out = Vec::new();
-    for d in [
-        Discipline::ForkJoin,
-        Discipline::WorkStealing,
-        Discipline::TaskPool,
-        Discipline::Futures,
-        Discipline::ServicePool,
-    ] {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         for p in [
             Partitioner::Static,
@@ -135,14 +129,14 @@ fn policies() -> Vec<(String, ExecutionPolicy)> {
 /// user-op trip armed at `site`, require the panic to surface, then
 /// require perfect drop balance once everything the case created is
 /// gone.
-fn chaos_case(label: &str, site: usize, trip: &Trip, op: impl FnOnce()) {
-    let before = LIVE.load(Ordering::SeqCst);
+fn chaos_case(label: &str, site: usize, trip: &Trip, live: &Live, op: impl FnOnce()) {
+    let before = live.load(Ordering::SeqCst);
     trip.arm(site);
     let result = catch_unwind(AssertUnwindSafe(op));
     trip.disarm();
     assert!(result.is_err(), "{label} @ {site}: injected panic vanished");
     assert_eq!(
-        LIVE.load(Ordering::SeqCst),
+        live.load(Ordering::SeqCst),
         before,
         "{label} @ {site}: drop imbalance (leak or double drop)"
     );
@@ -156,78 +150,79 @@ fn injected_op_panics_never_unbalance_drops() {
     const SITES: [usize; 3] = [0, 57, 601];
     let op_trip = Trip::new();
     let trip = &op_trip;
+    let live = &Live::default();
 
     for (name, policy) in policies() {
         for site in SITES {
             let p = &policy;
-            chaos_case(&format!("{name}/sort_by"), site, trip, || {
-                let mut v = elems(N);
+            chaos_case(&format!("{name}/sort_by"), site, trip, live, || {
+                let mut v = elems(N, live);
                 pstl::sort_by(p, &mut v, |a, b| {
                     trip.poke();
                     a.0.cmp(&b.0)
                 });
             });
-            chaos_case(&format!("{name}/stable_sort_by"), site, trip, || {
-                let mut v = elems(N);
+            chaos_case(&format!("{name}/stable_sort_by"), site, trip, live, || {
+                let mut v = elems(N, live);
                 pstl::stable_sort_by(p, &mut v, |a, b| {
                     trip.poke();
                     a.0.cmp(&b.0)
                 });
             });
-            chaos_case(&format!("{name}/inclusive_scan"), site, trip, || {
-                let src = elems(N);
-                let mut out = elems(N);
+            chaos_case(&format!("{name}/inclusive_scan"), site, trip, live, || {
+                let src = elems(N, live);
+                let mut out = elems(N, live);
                 pstl::inclusive_scan(p, &src, &mut out, |a, b| {
                     trip.poke();
-                    Elem::new(a.0 + b.0)
+                    Elem::new(a.0 + b.0, live)
                 });
             });
-            chaos_case(&format!("{name}/copy_if"), site, trip, || {
-                let src = elems(N);
-                let mut dst = elems(N);
+            chaos_case(&format!("{name}/copy_if"), site, trip, live, || {
+                let src = elems(N, live);
+                let mut dst = elems(N, live);
                 pstl::copy_if(p, &src, &mut dst, |x| {
                     trip.poke();
                     x.0 % 2 == 0
                 });
             });
-            chaos_case(&format!("{name}/partition"), site, trip, || {
-                let mut v = elems(N);
+            chaos_case(&format!("{name}/partition"), site, trip, live, || {
+                let mut v = elems(N, live);
                 pstl::partition(p, &mut v, |x| {
                     trip.poke();
                     x.0 % 3 == 0
                 });
             });
-            chaos_case(&format!("{name}/find_if"), site, trip, || {
+            chaos_case(&format!("{name}/find_if"), site, trip, live, || {
                 // Matchless predicate: the injected panic is the only
                 // exit, and it must unwind through the early-exit
                 // engine's static/guided/adaptive dispatch paths.
-                let v = elems(N);
+                let v = elems(N, live);
                 pstl::find_if(p, &v, |x| {
                     trip.poke();
                     x.0 == u64::MAX
                 });
             });
-            chaos_case(&format!("{name}/any_of"), site, trip, || {
-                let v = elems(N);
+            chaos_case(&format!("{name}/any_of"), site, trip, live, || {
+                let v = elems(N, live);
                 pstl::any_of(p, &v, |x| {
                     trip.poke();
                     x.0 == u64::MAX
                 });
             });
-            chaos_case(&format!("{name}/equal_by"), site, trip, || {
-                let a = elems(N);
-                let b = elems(N);
+            chaos_case(&format!("{name}/equal_by"), site, trip, live, || {
+                let a = elems(N, live);
+                let b = elems(N, live);
                 pstl::equal_by(p, &a, &b, |x, y| {
                     trip.poke();
                     x.0 == y.0
                 });
             });
-            chaos_case(&format!("{name}/set_union"), site, trip, || {
-                let mut a = elems(N);
-                let mut b = elems(N);
+            chaos_case(&format!("{name}/set_union"), site, trip, live, || {
+                let mut a = elems(N, live);
+                let mut b = elems(N, live);
                 a.sort();
                 b.sort();
-                let mut out = elems(2 * N);
+                let mut out = elems(2 * N, live);
                 // `Elem::cmp` pokes ORD_TRIP, armed by this case's
                 // sweep through the shared helper below.
                 ORD_TRIP.arm(site);
@@ -250,13 +245,7 @@ fn injected_op_panics_never_unbalance_drops() {
 fn pools_rerun_cleanly_after_chaos() {
     // Interleave a panicking run and a full clean algorithm pass on the
     // same pool, for every discipline: chaos must leave no residue.
-    for d in [
-        Discipline::ForkJoin,
-        Discipline::WorkStealing,
-        Discipline::TaskPool,
-        Discipline::Futures,
-        Discipline::ServicePool,
-    ] {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let policy = ExecutionPolicy::par(Arc::clone(&pool));
         for round in 0..10u64 {

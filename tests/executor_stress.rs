@@ -12,13 +12,7 @@ use pstl_executor::{build_pool, build_pool_on, Discipline, FuturesPool, TaskPool
 
 #[test]
 fn thousand_small_runs_per_discipline() {
-    for discipline in [
-        Discipline::ForkJoin,
-        Discipline::WorkStealing,
-        Discipline::TaskPool,
-        Discipline::Futures,
-        Discipline::ServicePool,
-    ] {
+    for discipline in Discipline::POOLS {
         let pool = build_pool(discipline, 4);
         let total = AtomicUsize::new(0);
         for round in 0..1000 {
@@ -174,13 +168,7 @@ fn counter_invariants_hold_on_every_backend() {
     // partition invariants, and the cancellation bookkeeping must agree
     // exactly with the task count when the token is tripped up front.
     use pstl_executor::CancelToken;
-    for discipline in [
-        Discipline::ForkJoin,
-        Discipline::WorkStealing,
-        Discipline::TaskPool,
-        Discipline::Futures,
-        Discipline::ServicePool,
-    ] {
+    for discipline in Discipline::POOLS {
         let pool = build_pool_on(discipline, Topology::grouped(4, 2));
         provoke_steals(pool.as_ref());
         let token = CancelToken::new();
@@ -228,13 +216,7 @@ fn panic_storm_keeps_every_pool_alive() {
     // 60 consecutive panicking runs per discipline, panic site rotating
     // through the index space, each followed by a clean full-coverage
     // run: no wedged workers, no lost indices, no double panics.
-    for discipline in [
-        Discipline::ForkJoin,
-        Discipline::WorkStealing,
-        Discipline::TaskPool,
-        Discipline::Futures,
-        Discipline::ServicePool,
-    ] {
+    for discipline in Discipline::POOLS {
         let pool = build_pool(discipline, 4);
         for round in 0..60usize {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

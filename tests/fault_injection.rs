@@ -9,14 +9,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use pstl_executor::fault::INJECTED_PANIC;
 use pstl_executor::{build_pool, build_pool_faulted, Discipline, FaultPlan, Topology};
 
-const REAL_POOLS: [Discipline; 5] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-    Discipline::ServicePool,
-];
-
 fn injected_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<String>()
@@ -26,7 +18,7 @@ fn injected_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 #[test]
 fn installed_task_panic_fires_with_marker_on_every_pool() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         pool.install_fault_plan(FaultPlan::none().with_panic_at_task(10));
         let result = catch_unwind(AssertUnwindSafe(|| pool.run(64, &|_| {})));
@@ -62,7 +54,7 @@ fn seeded_plans_fire_reproducibly() {
 
 #[test]
 fn spawn_failure_falls_back_to_fewer_workers() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool_faulted(
             d,
             Topology::flat(4),

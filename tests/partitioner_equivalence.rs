@@ -20,19 +20,10 @@ fn pools() -> &'static [(Discipline, Arc<dyn Executor>)] {
     use std::sync::OnceLock;
     static POOLS: OnceLock<Vec<(Discipline, Arc<dyn Executor>)>> = OnceLock::new();
     POOLS.get_or_init(|| {
-        vec![
-            (Discipline::ForkJoin, build_pool(Discipline::ForkJoin, 3)),
-            (
-                Discipline::WorkStealing,
-                build_pool(Discipline::WorkStealing, 2),
-            ),
-            (Discipline::TaskPool, build_pool(Discipline::TaskPool, 2)),
-            (Discipline::Futures, build_pool(Discipline::Futures, 2)),
-            (
-                Discipline::ServicePool,
-                build_pool(Discipline::ServicePool, 2),
-            ),
-        ]
+        Discipline::POOLS
+            .into_iter()
+            .map(|d| (d, build_pool(d, 3)))
+            .collect()
     })
 }
 

@@ -15,7 +15,6 @@ const POOL_FILES: &[&str] = &[
     "crates/pstl-executor/src/work_stealing.rs",
     "crates/pstl-executor/src/task_pool.rs",
     "crates/pstl-executor/src/futures.rs",
-    "crates/pstl-executor/src/service_pool.rs",
     "crates/pstl-executor/src/service.rs",
     "crates/pstl-executor/src/job.rs",
     "crates/pstl-executor/src/lib.rs",

@@ -13,13 +13,6 @@ use pstl_executor::{build_pool, Discipline};
 use pstl_harness::{to_json, Bench, BenchConfig};
 use pstl_trace::{stats, EventKind};
 
-const REAL_POOLS: [Discipline; 4] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-];
-
 /// A haystack big enough that every partitioner dispatches several
 /// chunks, with the match planted near the front.
 fn front_haystack() -> (Vec<u32>, usize) {
@@ -99,7 +92,7 @@ fn full_drain_reports_no_early_exit_in_json() {
 #[test]
 fn early_exit_event_keeps_traces_well_nested_on_every_pool() {
     let (data, hit) = front_haystack();
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         for mode in Partitioner::all() {
             let policy = ExecutionPolicy::par_with(

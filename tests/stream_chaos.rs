@@ -1,7 +1,7 @@
 //! Chaos suite for the streaming layer, mirroring `chaos_unwind.rs`:
 //! inject panics into the source, a stage, a farm replica, and the
 //! sink; cancel mid-stream manually and by deadline; and verify on
-//! every pool discipline × channel backend that
+//! every pool discipline that
 //!
 //! - the failure surfaces as a *typed* [`PipelineError`] (never an
 //!   unwind out of `run`),
@@ -10,48 +10,51 @@
 //! - the pool is immediately reusable for clean work afterwards.
 
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use pstl::stream::{ChannelKind, Pipeline, PipelineErrorKind, StreamStats};
+use pstl::stream::{Pipeline, PipelineErrorKind, StreamStats};
 use pstl_executor::{build_pool, CancelToken, Discipline};
 
-/// Net count of live [`Elem`] values; zero between cases means perfect
-/// drop balance. All cases share it, so each `#[test]` snapshots it
-/// before and after every pipeline run.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// Net count of live [`Elem`] values made by one test; an unchanged
+/// count across a pipeline run means perfect drop balance. Each
+/// `#[test]` owns its counter, so tests running in parallel never see
+/// each other's items.
+#[derive(Clone, Default)]
+struct Live(Arc<AtomicIsize>);
 
-#[derive(Debug)]
-struct Elem(u64);
+impl Live {
+    fn count(&self) -> isize {
+        self.0.load(Ordering::SeqCst)
+    }
 
-impl Elem {
-    fn new(v: u64) -> Self {
-        LIVE.fetch_add(1, Ordering::SeqCst);
-        Elem(v)
+    /// An `Elem` constructor counted on this tracker.
+    fn elem(&self) -> impl Fn(u64) -> Elem + Send + 'static {
+        let live = Arc::clone(&self.0);
+        move |v| {
+            live.fetch_add(1, Ordering::SeqCst);
+            Elem(v, Arc::clone(&live))
+        }
     }
 }
+
+#[derive(Debug)]
+struct Elem(u64, Arc<AtomicIsize>);
 
 impl Drop for Elem {
     fn drop(&mut self) {
-        LIVE.fetch_sub(1, Ordering::SeqCst);
+        self.1.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-const DISCIPLINES: [Discipline; 5] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-    Discipline::ServicePool,
-];
-
-fn assert_balanced(label: &str, stats: &StreamStats, live_before: isize) {
+fn assert_balanced(label: &str, stats: &StreamStats, live: &Live, live_before: isize) {
     assert_eq!(
         stats.produced,
         stats.consumed + stats.dropped,
         "{label}: flow accounting must balance"
     );
     assert_eq!(
-        LIVE.load(Ordering::SeqCst),
+        live.count(),
         live_before,
         "{label}: drop imbalance (leak or double drop)"
     );
@@ -69,149 +72,145 @@ fn assert_reusable(label: &str, pool: &std::sync::Arc<dyn pstl_executor::Executo
 
 #[test]
 fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
-    for d in DISCIPLINES {
+    let live = Live::default();
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
-        for kind in ChannelKind::ALL {
-            let label = format!("{d:?}/{}", kind.name());
+        let label = format!("{d:?}");
 
-            // Panic in the source iterator itself (stage 0).
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0u64..).map(|i| {
-                if i == 321 {
-                    panic!("source boom");
+        // Panic in the source iterator itself (stage 0).
+        let before = live.count();
+        let elem = live.elem();
+        let err = Pipeline::source((0u64..).map(move |i| {
+            if i == 321 {
+                panic!("source boom");
+            }
+            elem(i)
+        }))
+        .stage(|e: Elem| e)
+        .sink(drop)
+        .run(&*pool)
+        .unwrap_err();
+        match &err.kind {
+            PipelineErrorKind::StagePanicked { stage, message } => {
+                assert_eq!(*stage, 0, "{label}: source is stage 0");
+                assert!(message.contains("source boom"), "{label}: {message}");
+            }
+            other => panic!("{label}: expected StagePanicked, got {other:?}"),
+        }
+        assert_balanced(&format!("{label}/source"), &err.stats, &live, before);
+
+        // Panic in a plain stage (stage 1), mid-stream.
+        let before = live.count();
+        let err = Pipeline::source((0..5_000u64).map(live.elem()))
+            .stage(|e: Elem| {
+                if e.0 == 1_234 {
+                    panic!("stage boom");
                 }
-                Elem::new(i)
-            }))
-            .channel(kind)
-            .stage(|e: Elem| e)
+                e
+            })
             .sink(drop)
             .run(&*pool)
             .unwrap_err();
-            match &err.kind {
-                PipelineErrorKind::StagePanicked { stage, message } => {
-                    assert_eq!(*stage, 0, "{label}: source is stage 0");
-                    assert!(message.contains("source boom"), "{label}: {message}");
-                }
-                other => panic!("{label}: expected StagePanicked, got {other:?}"),
+        match &err.kind {
+            PipelineErrorKind::StagePanicked { stage, message } => {
+                assert_eq!(*stage, 1, "{label}: first stage is 1");
+                assert!(message.contains("stage boom"), "{label}: {message}");
             }
-            assert_balanced(&format!("{label}/source"), &err.stats, before);
-
-            // Panic in a plain stage (stage 1), mid-stream.
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0..5_000u64).map(Elem::new))
-                .channel(kind)
-                .stage(|e: Elem| {
-                    if e.0 == 1_234 {
-                        panic!("stage boom");
-                    }
-                    e
-                })
-                .sink(drop)
-                .run(&*pool)
-                .unwrap_err();
-            match &err.kind {
-                PipelineErrorKind::StagePanicked { stage, message } => {
-                    assert_eq!(*stage, 1, "{label}: first stage is 1");
-                    assert!(message.contains("stage boom"), "{label}: {message}");
-                }
-                other => panic!("{label}: expected StagePanicked, got {other:?}"),
-            }
-            assert_balanced(&format!("{label}/stage"), &err.stats, before);
-
-            // Panic inside one replica of an unordered farm (stage 1):
-            // the other replicas must drain and stop, not hang.
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0..5_000u64).map(Elem::new))
-                .channel(kind)
-                .farm(3, |e: Elem| {
-                    if e.0 == 777 {
-                        panic!("farm boom");
-                    }
-                    e
-                })
-                .sink(drop)
-                .run(&*pool)
-                .unwrap_err();
-            match &err.kind {
-                PipelineErrorKind::StagePanicked { stage, message } => {
-                    assert_eq!(*stage, 1, "{label}: farm is stage 1");
-                    assert!(message.contains("farm boom"), "{label}: {message}");
-                }
-                other => panic!("{label}: expected StagePanicked, got {other:?}"),
-            }
-            assert_balanced(&format!("{label}/farm"), &err.stats, before);
-
-            // Panic in the sink (last stage): upstream items in flight
-            // must be dropped exactly once during teardown.
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0..5_000u64).map(Elem::new))
-                .channel(kind)
-                .stage(|e: Elem| e)
-                .sink(|e: Elem| {
-                    if e.0 == 2_000 {
-                        panic!("sink boom");
-                    }
-                })
-                .run(&*pool)
-                .unwrap_err();
-            match &err.kind {
-                PipelineErrorKind::StagePanicked { stage, message } => {
-                    assert_eq!(*stage, 2, "{label}: sink is stage 2");
-                    assert!(message.contains("sink boom"), "{label}: {message}");
-                }
-                other => panic!("{label}: expected StagePanicked, got {other:?}"),
-            }
-            assert_balanced(&format!("{label}/sink"), &err.stats, before);
-
-            assert_reusable(&label, &pool);
+            other => panic!("{label}: expected StagePanicked, got {other:?}"),
         }
+        assert_balanced(&format!("{label}/stage"), &err.stats, &live, before);
+
+        // Panic inside one replica of an unordered farm (stage 1):
+        // the other replicas must drain and stop, not hang.
+        let before = live.count();
+        let err = Pipeline::source((0..5_000u64).map(live.elem()))
+            .farm(3, |e: Elem| {
+                if e.0 == 777 {
+                    panic!("farm boom");
+                }
+                e
+            })
+            .sink(drop)
+            .run(&*pool)
+            .unwrap_err();
+        match &err.kind {
+            PipelineErrorKind::StagePanicked { stage, message } => {
+                assert_eq!(*stage, 1, "{label}: farm is stage 1");
+                assert!(message.contains("farm boom"), "{label}: {message}");
+            }
+            other => panic!("{label}: expected StagePanicked, got {other:?}"),
+        }
+        assert_balanced(&format!("{label}/farm"), &err.stats, &live, before);
+
+        // Panic in the sink (last stage): upstream items in flight
+        // must be dropped exactly once during teardown.
+        let before = live.count();
+        let err = Pipeline::source((0..5_000u64).map(live.elem()))
+            .stage(|e: Elem| e)
+            .sink(|e: Elem| {
+                if e.0 == 2_000 {
+                    panic!("sink boom");
+                }
+            })
+            .run(&*pool)
+            .unwrap_err();
+        match &err.kind {
+            PipelineErrorKind::StagePanicked { stage, message } => {
+                assert_eq!(*stage, 2, "{label}: sink is stage 2");
+                assert!(message.contains("sink boom"), "{label}: {message}");
+            }
+            other => panic!("{label}: expected StagePanicked, got {other:?}"),
+        }
+        assert_balanced(&format!("{label}/sink"), &err.stats, &live, before);
+
+        assert_reusable(&label, &pool);
     }
 }
 
 #[test]
 fn manual_cancel_mid_stream_balances_on_every_backend() {
-    for d in DISCIPLINES {
+    let live = Live::default();
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
-        for kind in ChannelKind::ALL {
-            let label = format!("{d:?}/{}", kind.name());
-            let before = LIVE.load(Ordering::SeqCst);
+        let label = format!("{d:?}");
+        let before = live.count();
 
-            let token = CancelToken::new();
-            let observer = token.clone();
-            let err = Pipeline::source((0u64..).map(Elem::new))
-                .channel(kind)
-                .with_cancel(token)
-                .stage(move |e: Elem| {
-                    if e.0 == 800 {
-                        observer.cancel();
-                    }
-                    e
-                })
-                .sink(drop)
-                .run(&*pool)
-                .unwrap_err();
-            assert_eq!(err.kind, PipelineErrorKind::Cancelled, "{label}");
-            assert_balanced(&label, &err.stats, before);
-            assert!(
-                err.stats.produced < 5_000_000,
-                "{label}: teardown not prompt, produced {}",
-                err.stats.produced
-            );
-            assert_reusable(&label, &pool);
-        }
+        let token = CancelToken::new();
+        let observer = token.clone();
+        let err = Pipeline::source((0u64..).map(live.elem()))
+            .with_cancel(token)
+            .stage(move |e: Elem| {
+                if e.0 == 800 {
+                    observer.cancel();
+                }
+                e
+            })
+            .sink(drop)
+            .run(&*pool)
+            .unwrap_err();
+        assert_eq!(err.kind, PipelineErrorKind::Cancelled, "{label}");
+        assert_balanced(&label, &err.stats, &live, before);
+        assert!(
+            err.stats.produced < 5_000_000,
+            "{label}: teardown not prompt, produced {}",
+            err.stats.produced
+        );
+        assert_reusable(&label, &pool);
     }
 }
 
 #[test]
 fn deadline_cancel_mid_stream_balances_on_every_backend() {
-    for d in DISCIPLINES {
+    let live = Live::default();
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 2);
         let label = format!("{d:?}");
-        let before = LIVE.load(Ordering::SeqCst);
+        let before = live.count();
 
-        let err = Pipeline::source((0u64..).map(|i| {
+        let elem = live.elem();
+        let err = Pipeline::source((0u64..).map(move |i| {
             std::thread::sleep(Duration::from_micros(20));
-            Elem::new(i)
+            elem(i)
         }))
         .with_cancel(CancelToken::with_deadline(Duration::from_millis(25)))
         .ordered_farm(2, |e: Elem| e)
@@ -219,7 +218,7 @@ fn deadline_cancel_mid_stream_balances_on_every_backend() {
         .run(&*pool)
         .unwrap_err();
         assert_eq!(err.kind, PipelineErrorKind::Cancelled, "{label}");
-        assert_balanced(&label, &err.stats, before);
+        assert_balanced(&label, &err.stats, &live, before);
         assert_reusable(&label, &pool);
     }
 }
@@ -229,7 +228,7 @@ fn pools_interleave_chaotic_and_clean_streams_without_residue() {
     // Alternate a failing stream and a clean full pass on the same
     // pool, several rounds per discipline: chaos must leave no residue
     // in the runtime (mirrors `pools_rerun_cleanly_after_chaos`).
-    for d in DISCIPLINES {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         for round in 0..8u64 {
             let trip = round * 113;

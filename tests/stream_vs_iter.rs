@@ -1,6 +1,6 @@
 //! Differential conformance suite for the streaming layer: every
-//! pipeline/farm topology over every real pool discipline × both
-//! channel backends must agree with the sequential `Iterator` oracle —
+//! pipeline/farm topology over every real pool discipline must agree
+//! with the sequential `Iterator` oracle —
 //! exact sequence for order-preserving topologies (plain stages,
 //! stateful stages, ordered farms), multiset for unordered farms. Edge
 //! cases ride the same matrix: empty streams, single items, and
@@ -9,35 +9,19 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use pstl::stream::{ChannelKind, Pipeline};
+use pstl::stream::Pipeline;
 use pstl_executor::{build_pool, Discipline, Executor};
-
-/// All five real scheduling disciplines.
-const REAL_POOLS: [Discipline; 5] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-    Discipline::ServicePool,
-];
 
 /// One pool per discipline, shared by all proptest cases.
 fn pools() -> &'static [(Discipline, Arc<dyn Executor>)] {
     use std::sync::OnceLock;
     static POOLS: OnceLock<Vec<(Discipline, Arc<dyn Executor>)>> = OnceLock::new();
     POOLS.get_or_init(|| {
-        REAL_POOLS
+        Discipline::POOLS
             .into_iter()
             .map(|d| (d, build_pool(d, 3)))
             .collect()
     })
-}
-
-/// The full execution matrix: every pool × both channel backends.
-fn matrix() -> impl Iterator<Item = (Discipline, &'static Arc<dyn Executor>, ChannelKind)> {
-    pools()
-        .iter()
-        .flat_map(|(d, pool)| ChannelKind::ALL.map(move |kind| (*d, pool, kind)))
 }
 
 fn items() -> impl Strategy<Value = Vec<u64>> {
@@ -58,15 +42,14 @@ proptest! {
     fn stage_chain_equals_map_oracle(data in items(), cap_idx in 0usize..3) {
         let oracle: Vec<u64> = data.iter().map(|&x| (x + 3) * 2).collect();
         let cap = CAPS[cap_idx];
-        for (d, pool, kind) in matrix() {
+        for (d, pool) in pools() {
             let got = Pipeline::source(data.clone())
-                .channel(kind)
                 .capacity(cap)
                 .stage(|x: u64| x + 3)
                 .stage(|x: u64| x * 2)
                 .collect(&**pool)
                 .unwrap();
-            prop_assert_eq!(&got, &oracle, "{:?}/{}/cap{}", d, kind.name(), cap);
+            prop_assert_eq!(&got, &oracle, "{:?}/cap{}", d, cap);
         }
     }
 
@@ -79,14 +62,13 @@ proptest! {
     ) {
         let oracle: Vec<u64> = data.iter().map(|&x| x.wrapping_mul(2654435761) >> 7).collect();
         let cap = CAPS[cap_idx];
-        for (d, pool, kind) in matrix() {
+        for (d, pool) in pools() {
             let got = Pipeline::source(data.clone())
-                .channel(kind)
                 .capacity(cap)
                 .ordered_farm(replicas, |x: u64| x.wrapping_mul(2654435761) >> 7)
                 .collect(&**pool)
                 .unwrap();
-            prop_assert_eq!(&got, &oracle, "{:?}/{}/cap{}/r{}", d, kind.name(), cap, replicas);
+            prop_assert_eq!(&got, &oracle, "{:?}/cap{}/r{}", d, cap, replicas);
         }
     }
 
@@ -100,15 +82,14 @@ proptest! {
         let mut oracle: Vec<u64> = data.iter().map(|&x| x ^ 0xABCD).collect();
         oracle.sort_unstable();
         let cap = CAPS[cap_idx];
-        for (d, pool, kind) in matrix() {
+        for (d, pool) in pools() {
             let mut got = Pipeline::source(data.clone())
-                .channel(kind)
                 .capacity(cap)
                 .farm(replicas, |x: u64| x ^ 0xABCD)
                 .collect(&**pool)
                 .unwrap();
             got.sort_unstable();
-            prop_assert_eq!(&got, &oracle, "{:?}/{}/cap{}/r{}", d, kind.name(), cap, replicas);
+            prop_assert_eq!(&got, &oracle, "{:?}/cap{}/r{}", d, cap, replicas);
         }
     }
 
@@ -124,9 +105,8 @@ proptest! {
             })
             .collect();
         let cap = CAPS[cap_idx];
-        for (d, pool, kind) in matrix() {
+        for (d, pool) in pools() {
             let got = Pipeline::source(data.clone())
-                .channel(kind)
                 .capacity(cap)
                 .stage_stateful(0u64, |acc: &mut u64, x: u64| {
                     *acc = acc.wrapping_add(x);
@@ -134,7 +114,7 @@ proptest! {
                 })
                 .collect(&**pool)
                 .unwrap();
-            prop_assert_eq!(&got, &oracle, "{:?}/{}/cap{}", d, kind.name(), cap);
+            prop_assert_eq!(&got, &oracle, "{:?}/cap{}", d, cap);
         }
     }
 
@@ -153,9 +133,8 @@ proptest! {
             })
             .collect();
         let cap = CAPS[cap_idx];
-        for (d, pool, kind) in matrix() {
+        for (d, pool) in pools() {
             let got = Pipeline::source(data.clone())
-                .channel(kind)
                 .capacity(cap)
                 .stage(|x: u64| x / 3)
                 .ordered_farm(3, |x: u64| format!("{x:x}"))
@@ -165,7 +144,7 @@ proptest! {
                 })
                 .collect(&**pool)
                 .unwrap();
-            prop_assert_eq!(&got, &oracle, "{:?}/{}/cap{}", d, kind.name(), cap);
+            prop_assert_eq!(&got, &oracle, "{:?}/cap{}", d, cap);
         }
     }
 }
@@ -174,24 +153,22 @@ proptest! {
 /// a single item, through every topology shape.
 #[test]
 fn empty_and_single_item_streams() {
-    for (d, pool, kind) in matrix() {
+    for (d, pool) in pools() {
         for cap in [1usize, 64] {
             let empty = Pipeline::source(Vec::<u64>::new())
-                .channel(kind)
                 .capacity(cap)
                 .stage(|x: u64| x + 1)
                 .ordered_farm(2, |x: u64| x)
                 .collect(&**pool)
                 .unwrap();
-            assert!(empty.is_empty(), "{d:?}/{}/cap{cap}", kind.name());
+            assert!(empty.is_empty(), "{d:?}/cap{cap}");
 
             let single = Pipeline::source(vec![41u64])
-                .channel(kind)
                 .capacity(cap)
                 .farm(3, |x: u64| x + 1)
                 .collect(&**pool)
                 .unwrap();
-            assert_eq!(single, vec![42], "{d:?}/{}/cap{cap}", kind.name());
+            assert_eq!(single, vec![42], "{d:?}/cap{cap}");
         }
     }
 }
@@ -200,17 +177,16 @@ fn empty_and_single_item_streams() {
 /// produced is consumed, nothing dropped, on every matrix point.
 #[test]
 fn clean_runs_balance_flow_accounting() {
-    for (d, pool, kind) in matrix() {
+    for (d, pool) in pools() {
         let stats = Pipeline::source(0..5000u64)
-            .channel(kind)
             .capacity(8)
             .ordered_farm(2, |x| x + 1)
             .sink(|_| {})
             .run(&**pool)
             .unwrap();
-        assert_eq!(stats.produced, 5000, "{d:?}/{}", kind.name());
-        assert_eq!(stats.consumed, 5000, "{d:?}/{}", kind.name());
-        assert_eq!(stats.dropped, 0, "{d:?}/{}", kind.name());
+        assert_eq!(stats.produced, 5000, "{d:?}");
+        assert_eq!(stats.consumed, 5000, "{d:?}");
+        assert_eq!(stats.dropped, 0, "{d:?}");
     }
 }
 
@@ -219,15 +195,12 @@ fn clean_runs_balance_flow_accounting() {
 #[test]
 fn sequential_backend_matches_oracle() {
     let pool = build_pool(Discipline::Sequential, 1);
-    for kind in ChannelKind::ALL {
-        let got = Pipeline::source(0..300u64)
-            .channel(kind)
-            .capacity(4)
-            .stage(|x| x * 3)
-            .ordered_farm(2, |x| x + 1)
-            .collect(&*pool)
-            .unwrap();
-        let oracle: Vec<u64> = (0..300u64).map(|x| x * 3 + 1).collect();
-        assert_eq!(got, oracle, "{}", kind.name());
-    }
+    let got = Pipeline::source(0..300u64)
+        .capacity(4)
+        .stage(|x| x * 3)
+        .ordered_farm(2, |x| x + 1)
+        .collect(&*pool)
+        .unwrap();
+    let oracle: Vec<u64> = (0..300u64).map(|x| x * 3 + 1).collect();
+    assert_eq!(got, oracle);
 }

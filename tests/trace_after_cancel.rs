@@ -16,13 +16,6 @@ use std::time::Duration;
 use pstl_executor::{build_pool, CancelToken, Cancelled, Discipline, Executor, HistKind};
 use pstl_trace::stats::validate_well_nested;
 
-const REAL_POOLS: [Discipline; 4] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-];
-
 /// Drain the trace and check every worker stream is well nested (or,
 /// without the `trace` feature, that the drain is structurally valid
 /// and empty).
@@ -65,7 +58,7 @@ fn assert_hists_consistent(pool: &Arc<dyn Executor>, context: &str) {
 
 #[test]
 fn trace_drains_well_nested_after_deadline_cancellation() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 4);
         let _ = pool.take_trace(); // discard pool-startup events
         let before = pool.hist_snapshot().expect("real pools expose histograms");
@@ -94,7 +87,7 @@ fn trace_drains_well_nested_after_deadline_cancellation() {
 
 #[test]
 fn trace_drains_well_nested_after_pre_tripped_token() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let _ = pool.take_trace();
         let token = CancelToken::new();
@@ -115,7 +108,7 @@ fn trace_drains_well_nested_after_pre_tripped_token() {
 
 #[test]
 fn trace_stays_clean_across_cancel_then_reuse() {
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 4);
         let _ = pool.take_trace();
         let _ = pool.run_with_deadline(
@@ -155,7 +148,7 @@ fn trace_drains_well_nested_after_injected_panic() {
 
     use pstl_executor::FaultPlan;
 
-    for d in REAL_POOLS {
+    for d in Discipline::POOLS {
         let pool = build_pool(d, 3);
         let _ = pool.take_trace();
         pool.install_fault_plan(FaultPlan::none().with_panic_at_task(10));
