@@ -52,7 +52,7 @@ pub struct KernelCalibration {
     pub scan_scalar_ns: f64,
     /// Wide scan phase-1 fold, ns per element.
     pub scan_wide_ns: f64,
-    /// Comparison mergesort leaf on u32 keys, ns per element.
+    /// Comparison leaf (`seq::introsort`) on u32 keys, ns per element.
     pub sort_merge_ns: f64,
     /// Radix-sort leaf on u32 keys, ns per element.
     pub sort_radix_ns: f64,

@@ -320,7 +320,7 @@ fn main() {
             GATE_WIDE_SPEEDUP,
         );
         gate(
-            "sort   radix>=1.3x merge",
+            "sort   radix>=1.3x introsort",
             report.calibration.sort_speedup(),
             GATE_SORT_SPEEDUP,
         );

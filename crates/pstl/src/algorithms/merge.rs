@@ -14,12 +14,14 @@ use crate::chunk::chunk_range;
 use crate::policy::{ExecutionPolicy, Plan};
 use crate::ptr::SliceView;
 use crate::seq;
-use crate::seq::Cmp;
 
 /// Stable co-rank: the unique `(i, j)` with `i + j = k` such that merging
 /// `a[..i]` and `b[..j]` yields exactly the first `k` outputs of the
 /// stable merge (ties taken from `a` first).
-pub(crate) fn co_rank<T>(a: &[T], b: &[T], k: usize, cmp: Cmp<T>) -> (usize, usize) {
+pub(crate) fn co_rank<T, C>(a: &[T], b: &[T], k: usize, cmp: &C) -> (usize, usize)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     debug_assert!(k <= a.len() + b.len());
     let mut lo = k.saturating_sub(b.len());
     let mut hi = k.min(a.len());
@@ -59,7 +61,6 @@ where
         Plan::Sequential => seq::merge_into(a, b, out, &cmp),
         Plan::Parallel { exec, tasks, .. } => {
             // Segment boundaries in output space → input splits.
-            let cmp_ref: Cmp<T> = &cmp;
             let splits: Vec<(usize, usize)> = (0..=tasks)
                 .map(|s| {
                     let k = if s == tasks {
@@ -67,7 +68,7 @@ where
                     } else {
                         chunk_range(n, tasks, s).start
                     };
-                    co_rank(a, b, k, cmp_ref)
+                    co_rank(a, b, k, &cmp)
                 })
                 .collect();
             let splits = &splits;
@@ -80,7 +81,7 @@ where
                 let k1 = i1 + j1;
                 // SAFETY: output segments are disjoint by construction.
                 let dst = unsafe { view.range_mut(k0..k1) };
-                seq::merge_into(&a[i0..i1], &b[j0..j1], dst, cmp_ref);
+                seq::merge_into(&a[i0..i1], &b[j0..j1], dst, &cmp);
             });
         }
     }
@@ -182,7 +183,7 @@ mod tests {
     fn co_rank_boundaries() {
         let a = [1, 3, 5, 7];
         let b = [2, 4, 6, 8];
-        let cmp: Cmp<i32> = &|x, y| x.cmp(y);
+        let cmp = &|x: &i32, y: &i32| x.cmp(y);
         assert_eq!(co_rank(&a, &b, 0, cmp), (0, 0));
         assert_eq!(co_rank(&a, &b, 8, cmp), (4, 4));
         // First 3 outputs of the merge are 1,2,3 → 2 from a, 1 from b.
@@ -193,7 +194,7 @@ mod tests {
     fn co_rank_tie_prefers_a() {
         let a = [5, 5];
         let b = [5, 5];
-        let cmp: Cmp<i32> = &|x, y| x.cmp(y);
+        let cmp = &|x: &i32, y: &i32| x.cmp(y);
         // First 2 outputs must both come from `a` for stability.
         assert_eq!(co_rank(&a, &b, 2, cmp), (2, 0));
     }

@@ -76,7 +76,7 @@ fn value_cuts<T: Ord>(
     parts: usize,
 ) -> (Vec<usize>, Vec<usize>) {
     let total = a.len() + b.len();
-    let cmp: seq::Cmp<T> = &|x, y| x.cmp(y);
+    let cmp = &|x: &T, y: &T| x.cmp(y);
     let mut ca = scratch_filled(policy, parts + 1, 0usize);
     let mut cb = scratch_filled(policy, parts + 1, 0usize);
     for s in 1..parts {

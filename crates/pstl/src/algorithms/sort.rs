@@ -21,7 +21,7 @@ use crate::algorithms::scratch_clone;
 use crate::chunk::chunk_range;
 use crate::policy::{ExecutionPolicy, Plan};
 use crate::ptr::SliceView;
-use crate::seq::{self, Cmp};
+use crate::seq;
 
 /// Unstable parallel sort by `Ord` (binary mergesort with introsort
 /// leaves).
@@ -223,7 +223,7 @@ where
             let cut = if s == splits {
                 (a.len(), b.len())
             } else {
-                super::merge::co_rank(a, b, k, &|x: &T, y: &T| cmp(x, y))
+                super::merge::co_rank(a, b, k, cmp)
             };
             segments.push(Segment {
                 a: a_r.start + prev.0..a_r.start + cut.0,
@@ -252,7 +252,7 @@ where
         let a = unsafe { src.range(seg.a.clone()) };
         let b = unsafe { src.range(seg.b.clone()) };
         let out = unsafe { dst.range_mut(seg.out.clone()) };
-        seq::merge_into(a, b, out, &|x: &T, y: &T| cmp(x, y));
+        seq::merge_into(a, b, out, cmp);
     });
     new_bounds
 }
@@ -303,7 +303,7 @@ where
         exec.run(p, &|t| {
             // SAFETY: disjoint leaf ranges.
             let chunk = unsafe { data_view.range_mut(bounds[t]..bounds[t + 1]) };
-            seq::introsort(chunk, &|x: &T, y: &T| cmp(x, y));
+            seq::introsort(chunk, &cmp);
         });
     }
 
@@ -318,7 +318,7 @@ where
             }
         }
     }
-    seq::introsort(&mut samples, &|x: &T, y: &T| cmp(x, y));
+    seq::introsort(&mut samples, &cmp);
     let splitters: Vec<T> = (1..p)
         .map(|k| samples[(samples.len() * k / p).min(samples.len() - 1)].clone())
         .collect();
@@ -332,7 +332,7 @@ where
         let mut c = Vec::with_capacity(p + 1);
         c.push(0);
         for s in &splitters {
-            c.push(seq::lower_bound(chunk, s, &|x: &T, y: &T| cmp(x, y)));
+            c.push(seq::lower_bound(chunk, s, &cmp));
         }
         c.push(chunk.len());
         // lower_bound results are monotone because splitters are sorted.
@@ -367,7 +367,7 @@ where
                 .collect();
             // SAFETY: bucket output windows are disjoint.
             let out = unsafe { scratch_view.range_mut(offsets[k]..offsets[k + 1]) };
-            multiway_merge_into(&runs, out, &|x: &T, y: &T| cmp(x, y));
+            multiway_merge_into(&runs, out, &cmp);
         });
     }
 
@@ -396,7 +396,10 @@ fn data_view_clone_contents<T: Clone + Send + Sync>(
 
 /// k-way merge of sorted `runs` into `out` using a binary heap of run
 /// heads; ties break toward lower run index.
-fn multiway_merge_into<T: Clone>(runs: &[&[T]], out: &mut [T], cmp: Cmp<T>) {
+fn multiway_merge_into<T: Clone, C>(runs: &[&[T]], out: &mut [T], cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     debug_assert_eq!(out.len(), runs.iter().map(|r| r.len()).sum::<usize>());
     let mut heads = vec![0usize; runs.len()];
     // Heap of run indices keyed by their head element.
@@ -429,12 +432,10 @@ fn multiway_merge_into<T: Clone>(runs: &[&[T]], out: &mut [T], cmp: Cmp<T>) {
     }
 }
 
-fn sift_down(
-    heap: &mut [usize],
-    mut i: usize,
-    heads: &[usize],
-    less: &dyn Fn(usize, usize, &[usize]) -> bool,
-) {
+fn sift_down<L>(heap: &mut [usize], mut i: usize, heads: &[usize], less: &L)
+where
+    L: Fn(usize, usize, &[usize]) -> bool,
+{
     loop {
         let l = 2 * i + 1;
         if l >= heap.len() {

@@ -7,17 +7,22 @@
 //! (median-of-three quicksort with heapsort depth fallback and insertion
 //! sort for small partitions), a stable bottom-up mergesort, a sequential
 //! two-way merge, binary searches, and a quickselect.
+//!
+//! Every comparison kernel is generic over its comparator
+//! (`cmp: &C` with `C: Fn(&T, &T) -> Ordering + ?Sized`), so a closure is
+//! inlined into the loop like a C++ template comparator in `std::sort`.
+//! A `&dyn Fn` still works; it just pays its virtual call.
 
 use std::cmp::Ordering;
 
 /// Partitions of at most this length use insertion sort.
 const INSERTION_THRESHOLD: usize = 24;
 
-/// Comparator shorthand used throughout this crate.
-pub type Cmp<'c, T> = &'c (dyn Fn(&T, &T) -> Ordering + Sync);
-
 /// In-place insertion sort.
-pub fn insertion_sort<T>(data: &mut [T], cmp: Cmp<T>) {
+pub fn insertion_sort<T, C>(data: &mut [T], cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     for i in 1..data.len() {
         let mut j = i;
         while j > 0 && cmp(&data[j - 1], &data[j]) == Ordering::Greater {
@@ -28,7 +33,10 @@ pub fn insertion_sort<T>(data: &mut [T], cmp: Cmp<T>) {
 }
 
 /// In-place heapsort (the introsort depth-limit fallback).
-pub fn heapsort<T>(data: &mut [T], cmp: Cmp<T>) {
+pub fn heapsort<T, C>(data: &mut [T], cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     let n = data.len();
     // Build a max-heap.
     for start in (0..n / 2).rev() {
@@ -40,7 +48,10 @@ pub fn heapsort<T>(data: &mut [T], cmp: Cmp<T>) {
     }
 }
 
-fn sift_down<T>(data: &mut [T], mut root: usize, end: usize, cmp: Cmp<T>) {
+fn sift_down<T, C>(data: &mut [T], mut root: usize, end: usize, cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     loop {
         let left = 2 * root + 1;
         if left >= end {
@@ -62,12 +73,18 @@ fn sift_down<T>(data: &mut [T], mut root: usize, end: usize, cmp: Cmp<T>) {
 
 /// In-place introsort: quicksort with a `2·log2(n)` depth limit, heapsort
 /// beyond it, insertion sort for small partitions. Not stable.
-pub fn introsort<T>(data: &mut [T], cmp: Cmp<T>) {
+pub fn introsort<T, C>(data: &mut [T], cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     let depth_limit = 2 * (usize::BITS - data.len().leading_zeros()) as usize;
     introsort_rec(data, cmp, depth_limit);
 }
 
-fn introsort_rec<T>(mut data: &mut [T], cmp: Cmp<T>, mut depth: usize) {
+fn introsort_rec<T, C>(mut data: &mut [T], cmp: &C, mut depth: usize)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     // Tail-recurse on the smaller side to bound stack depth.
     loop {
         let n = data.len();
@@ -94,7 +111,10 @@ fn introsort_rec<T>(mut data: &mut [T], cmp: Cmp<T>, mut depth: usize) {
 }
 
 /// Place a median-of-three pivot at index 0 and return its position 0.
-fn median_of_three<T>(data: &mut [T], cmp: Cmp<T>) -> usize {
+fn median_of_three<T, C>(data: &mut [T], cmp: &C) -> usize
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     let n = data.len();
     let (a, b, c) = (0, n / 2, n - 1);
     // Order a <= b <= c, then use b as pivot (moved to front).
@@ -114,7 +134,10 @@ fn median_of_three<T>(data: &mut [T], cmp: Cmp<T>) -> usize {
 /// Hoare partition around the pivot at `pivot_idx` (must be 0); returns
 /// the split point `m` such that `data[..m] <= pivot <= data[m..]` with
 /// both sides non-empty.
-fn hoare_partition<T>(data: &mut [T], pivot_idx: usize, cmp: Cmp<T>) -> usize {
+fn hoare_partition<T, C>(data: &mut [T], pivot_idx: usize, cmp: &C) -> usize
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     debug_assert_eq!(pivot_idx, 0);
     let n = data.len();
     let mut i = 0usize;
@@ -145,7 +168,10 @@ fn hoare_partition<T>(data: &mut [T], pivot_idx: usize, cmp: Cmp<T>) -> usize {
 
 /// Stable bottom-up mergesort using a caller-provided scratch buffer of at
 /// least `data.len()` elements (contents are overwritten).
-pub fn mergesort_stable<T: Clone>(data: &mut [T], scratch: &mut Vec<T>, cmp: Cmp<T>) {
+pub fn mergesort_stable<T: Clone, C>(data: &mut [T], scratch: &mut Vec<T>, cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     let n = data.len();
     if n <= INSERTION_THRESHOLD {
         // Binary insertion keeps stability.
@@ -179,7 +205,10 @@ pub fn mergesort_stable<T: Clone>(data: &mut [T], scratch: &mut Vec<T>, cmp: Cmp
     }
 }
 
-fn stable_insertion_sort<T>(data: &mut [T], cmp: Cmp<T>) {
+fn stable_insertion_sort<T, C>(data: &mut [T], cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     for i in 1..data.len() {
         let mut j = i;
         // Strictly-greater keeps equal elements in original order.
@@ -190,7 +219,10 @@ fn stable_insertion_sort<T>(data: &mut [T], cmp: Cmp<T>) {
     }
 }
 
-fn merge_pass<T: Clone>(src: &mut [T], dst: &mut [T], width: usize, cmp: Cmp<T>) {
+fn merge_pass<T: Clone, C>(src: &mut [T], dst: &mut [T], width: usize, cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     let n = src.len();
     let mut start = 0;
     while start < n {
@@ -203,26 +235,26 @@ fn merge_pass<T: Clone>(src: &mut [T], dst: &mut [T], width: usize, cmp: Cmp<T>)
 
 /// Stable sequential merge of two sorted runs into `out`
 /// (`out.len() == a.len() + b.len()`). Ties take from `a` first.
-pub fn merge_into<T: Clone>(a: &[T], b: &[T], out: &mut [T], cmp: Cmp<T>) {
+pub fn merge_into<T: Clone, C>(a: &[T], b: &[T], out: &mut [T], cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     assert_eq!(out.len(), a.len() + b.len(), "merge output length mismatch");
     let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        let take_a = if i >= a.len() {
-            false
-        } else if j >= b.len() {
-            true
-        } else {
-            // `<=` from a keeps the merge stable.
-            cmp(&b[j], &a[i]) != Ordering::Less
-        };
-        if take_a {
-            *slot = a[i].clone();
-            i += 1;
-        } else {
-            *slot = b[j].clone();
-            j += 1;
-        }
+    // Branch-free while both runs are non-empty: the comparison selects
+    // the source by reference and the indices advance by `bool as usize`,
+    // so the data-dependent outcome never becomes a jump.
+    while i < a.len() && j < b.len() {
+        // Only strictly-less takes from `b`: ties come from `a` (stable).
+        let take_b = cmp(&b[j], &a[i]) == Ordering::Less;
+        let src = if take_b { &b[j] } else { &a[i] };
+        out[i + j] = src.clone();
+        i += !take_b as usize;
+        j += take_b as usize;
     }
+    let (tail_a, tail_b) = out[i + j..].split_at_mut(a.len() - i);
+    tail_a.clone_from_slice(&a[i..]);
+    tail_b.clone_from_slice(&b[j..]);
 }
 
 /// First index in sorted `data` at which `probe(x)` is `false`
@@ -242,12 +274,18 @@ pub fn partition_point<T>(data: &[T], probe: impl Fn(&T) -> bool) -> usize {
 }
 
 /// `lower_bound`: first index whose element is not less than `value`.
-pub fn lower_bound<T>(data: &[T], value: &T, cmp: Cmp<T>) -> usize {
+pub fn lower_bound<T, C>(data: &[T], value: &T, cmp: &C) -> usize
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     partition_point(data, |x| cmp(x, value) == Ordering::Less)
 }
 
 /// `upper_bound`: first index whose element is greater than `value`.
-pub fn upper_bound<T>(data: &[T], value: &T, cmp: Cmp<T>) -> usize {
+pub fn upper_bound<T, C>(data: &[T], value: &T, cmp: &C) -> usize
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     partition_point(data, |x| cmp(x, value) != Ordering::Greater)
 }
 
@@ -269,7 +307,10 @@ pub fn seq_equal<T: PartialEq>(a: &[T], b: &[T]) -> bool {
 /// In-place quickselect: after the call, `data[k]` holds the element that
 /// would be at position `k` after a full sort; smaller elements precede
 /// it, larger follow (in arbitrary order).
-pub fn quickselect<T>(data: &mut [T], k: usize, cmp: Cmp<T>) {
+pub fn quickselect<T, C>(data: &mut [T], k: usize, cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     assert!(k < data.len(), "quickselect index out of bounds");
     let mut lo = 0;
     let mut hi = data.len();
@@ -293,6 +334,8 @@ pub fn quickselect<T>(data: &mut [T], k: usize, cmp: Cmp<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::Arc;
 
     fn ord<T: Ord>() -> impl Fn(&T, &T) -> Ordering + Sync {
         |a: &T, b: &T| a.cmp(b)
@@ -379,13 +422,92 @@ mod tests {
         }
     }
 
+    /// `(key, tag)` with a key-only comparator: a tie taken from the
+    /// wrong side changes the tag order, which bare ints cannot show.
+    fn tagged(keys: &[u32], side: u32) -> Vec<(u32, u32)> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, &k)| (k, side * 1000 + i as u32))
+            .collect()
+    }
+
     #[test]
     fn merge_into_is_stable_and_ordered() {
-        let a = [1, 3, 3, 5];
-        let b = [2, 3, 4];
-        let mut out = [0; 7];
-        merge_into(&a, &b, &mut out, &ord());
-        assert_eq!(out, [1, 2, 3, 3, 3, 4, 5]);
+        let by_key = |x: &(u32, u32), y: &(u32, u32)| x.0.cmp(&y.0);
+        let cases: [(&[u32], &[u32]); 10] = [
+            (&[5, 5, 5], &[5, 5]),             // all ties
+            (&[], &[1, 2, 2]),                 // a empty
+            (&[1, 1, 2], &[]),                 // b empty
+            (&[1, 2, 2], &[2, 2, 3, 4]),       // a exhausted first
+            (&[2, 2, 3, 4], &[1, 2, 2]),       // b exhausted first
+            (&[1, 2, 3], &[7, 8]),             // a entirely less
+            (&[7, 8], &[1, 2, 3]),             // b entirely less
+            (&[3, 3], &[3, 3, 3, 9]),          // ties, then b's tail
+            (&[0, 1, 1, 4, 4, 6], &[1, 4, 6]), // interleaved ties
+            (&[1, 3, 3, 5], &[2, 3, 4]),       // mixed, one tie
+        ];
+        for (ka, kb) in cases {
+            let (a, b) = (tagged(ka, 0), tagged(kb, 1));
+            let mut out = vec![(u32::MAX, u32::MAX); a.len() + b.len()];
+            merge_into(&a, &b, &mut out, &by_key);
+            // std's stable sort of `a ++ b` is the stable merge.
+            let mut expect = [a.clone(), b.clone()].concat();
+            expect.sort_by(by_key);
+            assert_eq!(out, expect, "a={ka:?} b={kb:?}");
+        }
+    }
+
+    /// Counts its clones in a per-test counter.
+    #[derive(Debug)]
+    struct Counted {
+        key: u32,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, AtomicOrdering::Relaxed);
+            Counted {
+                key: self.key,
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    #[test]
+    fn merge_into_clones_each_output_once() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let run = |keys: &[u32]| -> Vec<Counted> {
+            keys.iter()
+                .map(|&key| Counted {
+                    key,
+                    clones: Arc::clone(&clones),
+                })
+                .collect()
+        };
+        let cases: [(&[u32], &[u32]); 5] = [
+            (&[1, 3, 3, 5], &[2, 3, 4]),
+            (&[], &[1, 2]),
+            (&[1, 2], &[]),
+            (&[1, 2], &[3, 4, 5]),
+            (&[4, 4], &[4, 4]),
+        ];
+        for (ka, kb) in cases {
+            let (a, b) = (run(ka), run(kb));
+            let mut out = run(&vec![u32::MAX; ka.len() + kb.len()]);
+            clones.store(0, AtomicOrdering::Relaxed);
+            merge_into(&a, &b, &mut out, &|x: &Counted, y: &Counted| {
+                x.key.cmp(&y.key)
+            });
+            assert_eq!(
+                clones.load(AtomicOrdering::Relaxed),
+                out.len(),
+                "a={ka:?} b={kb:?}"
+            );
+            let mut keys = [ka, kb].concat();
+            keys.sort_unstable();
+            assert_eq!(out.iter().map(|c| c.key).collect::<Vec<_>>(), keys);
+        }
     }
 
     #[test]

@@ -402,3 +402,63 @@ fn merge_regression_single_element_left_run() {
         assert_eq!(v, expect, "inplace_merge diverged under {policy:?}");
     }
 }
+
+/// Deterministic `String`s with many exact duplicates and many length
+/// ties (a length-only comparator then has visible ties).
+fn strings(n: usize) -> Vec<String> {
+    (0..n as u64)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+            format!("{:x}", h % (n as u64 / 4 + 3)).repeat(1 + (h >> 60) as usize % 3)
+        })
+        .collect()
+}
+
+/// Non-`Copy` differential: the sorts and the merge move heap-owning
+/// elements by `clone`, so a lost or duplicated element shows up as a
+/// mismatch against `std`. Two geometries per pool: the default config
+/// on 2 threads (16 leaves at 70 000: four even merge passes) and a
+/// fine grain on 3 threads (12 leaves: a pass with an odd tail run).
+#[test]
+fn sorts_and_merge_match_std_on_strings() {
+    let by_len = |a: &String, b: &String| a.len().cmp(&b.len());
+    for d in Discipline::POOLS {
+        let policies = [
+            ExecutionPolicy::par(build_pool(d, 2)),
+            ExecutionPolicy::par_with(
+                build_pool(d, 3),
+                ParConfig::with_grain(7).max_tasks_per_thread(4),
+            ),
+        ];
+        for policy in &policies {
+            for n in [0usize, 1, 25, 1000, 70_000] {
+                let data = strings(n);
+                let ctx = format!("{} n={n} {policy:?}", d.name());
+
+                let mut expect = data.clone();
+                expect.sort_unstable();
+                let mut v = data.clone();
+                pstl::sort(policy, &mut v);
+                assert_eq!(v, expect, "sort: {ctx}");
+                let mut v = data.clone();
+                pstl::sort_multiway(policy, &mut v);
+                assert_eq!(v, expect, "sort_multiway: {ctx}");
+
+                let mut expect_stable = data.clone();
+                expect_stable.sort_by(by_len);
+                let mut v = data.clone();
+                pstl::stable_sort_by(policy, &mut v, by_len);
+                assert_eq!(v, expect_stable, "stable_sort_by: {ctx}");
+
+                // Two length-sorted runs; the stable merge equals a stable
+                // sort of their concatenation (ties from `a` first).
+                let (mut a, mut b) = (data[..n / 3].to_vec(), data[n / 3..].to_vec());
+                a.sort_by(by_len);
+                b.sort_by(by_len);
+                let mut out = vec![String::new(); n];
+                pstl::merge_by(policy, &a, &b, &mut out, by_len);
+                assert_eq!(out, expect_stable, "merge_by: {ctx}");
+            }
+        }
+    }
+}

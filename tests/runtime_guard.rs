@@ -5,6 +5,11 @@
 //! slot, one rethrow point — silently forks, so this test fails the
 //! build instead. Test modules are exempt: tests may *provoke* panics
 //! across the API boundary all they like.
+//!
+//! The same file guards the comparison path: the sequential kernels and
+//! the algorithms take their comparator as a generic `&C`, so a
+//! `dyn Fn(&T, &T)` comparator (a virtual call per comparison) must not
+//! come back.
 
 use std::path::Path;
 
@@ -95,5 +100,46 @@ fn runtime_owns_the_containment_primitives() {
     assert!(
         src.contains("pub struct PanicSlot"),
         "runtime.rs must own the first-panic-wins slot"
+    );
+}
+
+/// Sources of the comparison path: `seq.rs` and every algorithm file.
+fn comparison_path_files(root: &Path) -> Vec<std::path::PathBuf> {
+    let dir = root.join("crates/pstl/src/algorithms");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("guard lint cannot list {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .collect();
+    files.sort();
+    files.push(root.join("crates/pstl/src/seq.rs"));
+    files
+}
+
+#[test]
+fn comparison_path_has_no_dyn_comparator() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = comparison_path_files(root);
+    assert!(
+        files.iter().any(|p| p.ends_with("sort.rs")),
+        "guard lint found no algorithm sources; it would guard nothing"
+    );
+    let mut offenders = Vec::new();
+    for path in &files {
+        let src = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("guard lint cannot read {}: {e}", path.display()));
+        let rel = path.strip_prefix(root).unwrap_or(path).display();
+        let code = strip_test_modules(&src);
+        for (lineno, line) in code.lines().enumerate() {
+            if line.contains("dyn Fn(&T, &T)") || line.contains("Cmp<") {
+                offenders.push(format!("{rel}:{}: {}", lineno + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "comparison kernels take `cmp: &C` with `C: Fn(&T, &T) -> Ordering`;\n\
+         found a dynamically dispatched comparator (outside test modules):\n{}",
+        offenders.join("\n")
     );
 }
