@@ -63,13 +63,6 @@ fn bench_kernels(c: &mut Criterion) {
                 BatchSize::LargeInput,
             )
         });
-        group.bench_with_input(BenchmarkId::new("sort_radix", &size), &n, |b, _| {
-            b.iter_batched(
-                || u32s.clone(),
-                |mut buf| kernel::sort::radix_sort(&mut buf[..]),
-                BatchSize::LargeInput,
-            )
-        });
     }
     group.finish();
 }

@@ -52,10 +52,6 @@ pub struct KernelCalibration {
     pub scan_scalar_ns: f64,
     /// Wide scan phase-1 fold, ns per element.
     pub scan_wide_ns: f64,
-    /// Comparison leaf (`seq::introsort`) on u32 keys, ns per element.
-    pub sort_merge_ns: f64,
-    /// Radix-sort leaf on u32 keys, ns per element.
-    pub sort_radix_ns: f64,
 }
 
 impl KernelCalibration {
@@ -92,11 +88,6 @@ impl KernelCalibration {
     pub fn scan_speedup(&self) -> f64 {
         ratio(self.scan_scalar_ns, self.scan_wide_ns)
     }
-
-    /// Measured radix-over-mergesort speedup on integer keys.
-    pub fn sort_speedup(&self) -> f64 {
-        ratio(self.sort_merge_ns, self.sort_radix_ns)
-    }
 }
 
 /// `a / b` guarded against a degenerate (zero/negative/NaN) measurement:
@@ -126,8 +117,6 @@ mod tests {
             find_wide_ns_f64: 0.75,
             scan_scalar_ns: 1.0,
             scan_wide_ns: 0.5,
-            sort_merge_ns: 20.0,
-            sort_radix_ns: 10.0,
         }
     }
 
@@ -137,7 +126,6 @@ mod tests {
         assert!((c.reduce_speedup() - 2.5).abs() < 1e-12);
         assert!((c.find_speedup() - 1.6).abs() < 1e-12);
         assert!((c.scan_speedup() - 2.0).abs() < 1e-12);
-        assert!((c.sort_speedup() - 2.0).abs() < 1e-12);
     }
 
     #[test]

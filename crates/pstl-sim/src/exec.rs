@@ -404,8 +404,6 @@ mod tests {
             find_wide_ns_f64: 0.75,
             scan_scalar_ns: 1.0,
             scan_wide_ns: 0.6,
-            sort_merge_ns: 20.0,
-            sort_radix_ns: 12.0,
         }
     }
 

@@ -9,8 +9,8 @@
 //! * `find` — masked 32-lane block scan vs. per-element short-circuit
 //!   on a matchless predicate (the worst case: every index evaluated),
 //! * `scan` — the phase-1 range fold both scan engines share,
-//! * `sort` — the radix leaf vs. the comparison introsort leaf on
-//!   scrambled u32 keys.
+//! * `sort` — the comparison leaf every sort bottoms out in
+//!   (`seq::introsort`) vs. `slice::sort_unstable` on 2^16 random u64.
 //!
 //! The emitted JSON carries three things: raw ns-per-element numbers
 //! (machine-dependent, ignored by the perf gate), `speedup` ratios
@@ -19,9 +19,9 @@
 //! consumes to replace the backend models' theoretical lane speedups
 //! with these measured ones.
 //!
-//! With `--check`, exits non-zero unless the ISSUE 7 acceptance gates
-//! hold: wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7) and the
-//! radix leaf ≥ 1.3× over the comparison leaf.
+//! With `--check`, exits non-zero unless the acceptance gates hold:
+//! wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7) and the sort
+//! leaf ≤ 1.5× the time of `slice::sort_unstable`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,8 +34,11 @@ use serde::Serialize;
 /// Wide reduce/find must be at least this much faster than scalar
 /// (time ratio ≤ 0.7 ⇒ speedup ≥ 1/0.7).
 const GATE_WIDE_SPEEDUP: f64 = 1.0 / 0.7;
-/// Radix leaf must beat the comparison leaf by at least this factor.
-const GATE_SORT_SPEEDUP: f64 = 1.3;
+/// The sort leaf may take at most 1.5× the time of `slice::sort_unstable`
+/// (time ratio ≤ 1.5 ⇒ speedup ≥ 1/1.5).
+const GATE_SORT_LEAF: f64 = 1.0 / 1.5;
+/// Sort-leaf row size: one leaf of the `bulk` workload's mergesort.
+const SORT_LEAF_N: usize = 1 << 16;
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -76,6 +79,45 @@ fn scrambled_u32(n: usize) -> Vec<u32> {
     (0..n as u32)
         .map(|i| i.wrapping_mul(2_654_435_761))
         .collect()
+}
+
+/// Best-of-`9 * reps` ns per element of `slice::sort_unstable` and of
+/// `seq::introsort` on [`SORT_LEAF_N`] random u64. Every rep sorts a
+/// fresh input (a repeated one would train the branch predictor), and
+/// both sides sort the same input back to back, alternating which goes
+/// first, so host noise hits them alike. A rep takes about 2 ms, so the
+/// row affords more of them than the others: on a shared 2-core host, 27 reps
+/// often found no quiet window and the ratio read up to 1.6× where 81
+/// read 1.4×.
+fn time_sort_leaf(reps: usize) -> (f64, f64) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut input = vec![0u64; SORT_LEAF_N];
+    let mut buf = input.clone();
+    let mut best = [f64::INFINITY; 2];
+    for rep in 0..=9 * reps {
+        for x in input.iter_mut() {
+            // xorshift64
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *x = state;
+        }
+        for side in [rep % 2, 1 - rep % 2] {
+            buf.copy_from_slice(&input);
+            let t = Instant::now();
+            if side == 0 {
+                black_box(&mut buf).sort_unstable();
+            } else {
+                pstl::seq::introsort(black_box(&mut buf), &|a: &u64, b: &u64| a.cmp(b));
+            }
+            let ns = t.elapsed().as_secs_f64() * 1e9 / SORT_LEAF_N as f64;
+            // Rep 0 is the warm-up.
+            if rep > 0 {
+                best[side] = best[side].min(ns);
+            }
+        }
+    }
+    (best[0], best[1])
 }
 
 fn main() {
@@ -161,18 +203,8 @@ fn main() {
         ));
     });
 
-    // --- sort: comparison introsort leaf vs. radix leaf on u32 keys ------
-    // Both sides pay the same clone-from-master cost.
-    let keys = scrambled_u32(n);
-    let mut buf = keys.clone();
-    let sort_merge = time_ns_per_elem(n, reps, || {
-        buf.copy_from_slice(&keys);
-        pstl::seq::introsort(black_box(&mut buf), &|a: &u32, b: &u32| a.cmp(b));
-    });
-    let sort_radix = time_ns_per_elem(n, reps, || {
-        buf.copy_from_slice(&keys);
-        kernel::sort::radix_sort(black_box(&mut buf[..]));
-    });
+    // --- sort: the comparison leaf vs. std's unstable sort -------------
+    let (sort_std, sort_leaf) = time_sort_leaf(reps);
 
     let calibration = KernelCalibration {
         reduce_scalar_ns: reduce_scalar,
@@ -185,8 +217,6 @@ fn main() {
         find_wide_ns_f64: find_wide_f64,
         scan_scalar_ns: scan_scalar,
         scan_wide_ns: scan_wide,
-        sort_merge_ns: sort_merge,
-        sort_radix_ns: sort_radix,
     };
 
     let rows = vec![
@@ -231,12 +261,12 @@ fn main() {
             speedup: calibration.scan_speedup(),
         },
         KernelRow {
-            name: "sort_u32_keys",
-            scalar_path: "seq::introsort",
-            wide_path: "kernel::sort::radix_sort",
-            scalar_ns_per_elem: sort_merge,
-            wide_ns_per_elem: sort_radix,
-            speedup: calibration.sort_speedup(),
+            name: "sort_u64_leaf",
+            scalar_path: "slice::sort_unstable",
+            wide_path: "seq::introsort",
+            scalar_ns_per_elem: sort_std,
+            wide_ns_per_elem: sort_leaf,
+            speedup: sort_std / sort_leaf,
         },
     ];
 
@@ -320,9 +350,9 @@ fn main() {
             GATE_WIDE_SPEEDUP,
         );
         gate(
-            "sort   radix>=1.3x introsort",
-            report.calibration.sort_speedup(),
-            GATE_SORT_SPEEDUP,
+            "sort   introsort<=1.5x sort_unstable",
+            sort_std / sort_leaf,
+            GATE_SORT_LEAF,
         );
         if failed {
             std::process::exit(1);

@@ -14,6 +14,12 @@
 //!   *single* merge traversal, which is exactly why the paper measures
 //!   GNU's sort scaling far better than the others (speedups 25–67 vs
 //!   6–11 in its Table 5).
+//!
+//! Both sort their leaves (and everything below the parallel threshold)
+//! with the sequential kernels of [`crate::seq`]: the branch-free
+//! pattern-defeating introsort for unstable sorts, the bottom-up
+//! mergesort for stable ones. Like every backend in the paper, the
+//! parallel speed-up is measured against that leaf.
 
 use std::cmp::Ordering;
 
@@ -48,9 +54,7 @@ where
     T: Clone + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
 {
-    mergesort_driver(policy, data, &cmp, &|chunk: &mut [T]| {
-        leaf_sort(chunk, &cmp, false)
-    });
+    mergesort_driver(policy, data, &cmp, false);
 }
 
 /// Stable parallel sort by `Ord`.
@@ -67,45 +71,22 @@ where
     T: Clone + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
 {
-    mergesort_driver(policy, data, &cmp, &|chunk: &mut [T]| {
-        leaf_sort(chunk, &cmp, true)
-    });
+    mergesort_driver(policy, data, &cmp, true);
 }
 
-/// Sort a slice of plain integer keys, ascending. Same driver as
-/// [`sort`], but the leaves run the kernel layer's cache-aware LSD
-/// radix sort ([`crate::kernel::sort::radix_sort`]) instead of a
-/// comparison sort — no comparisons, no branch mispredictions, one
-/// sequential pass per key byte. The merge passes still use the `Ord`
-/// comparator, so the driver geometry (and its trace/metrics behaviour)
-/// is identical to [`sort`].
-pub fn sort_keys<K>(policy: &ExecutionPolicy, data: &mut [K])
-where
-    K: crate::kernel::sort::RadixKey + Send + Sync,
-{
-    mergesort_driver(
-        policy,
-        data,
-        &|a: &K, b: &K| a.cmp(b),
-        &|chunk: &mut [K]| crate::kernel::sort::radix_sort(chunk),
-    );
-}
-
-/// The shared parallel-mergesort skeleton: `leaf` sorts each chunk in
-/// place (comparison or radix), `cmp` drives the merge passes. `leaf`
-/// must produce an ordering consistent with `cmp`.
-fn mergesort_driver<T, C, L>(policy: &ExecutionPolicy, data: &mut [T], cmp: &C, leaf: &L)
+/// The shared parallel-mergesort skeleton: [`leaf_sort`] sorts each
+/// chunk in place (stable or not), `cmp` drives the merge passes.
+fn mergesort_driver<T, C>(policy: &ExecutionPolicy, data: &mut [T], cmp: &C, stable: bool)
 where
     T: Clone + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
-    L: Fn(&mut [T]) + Sync,
 {
     let n = data.len();
     if n < 2 {
         return;
     }
     match policy.plan(n) {
-        Plan::Sequential => leaf(data),
+        Plan::Sequential => leaf_sort(data, cmp, stable),
         Plan::Parallel { exec, tasks, .. } => {
             let tasks = tasks.min(n).max(1);
             if tasks == 1 {
@@ -115,7 +96,7 @@ where
                 let view = &view;
                 exec.run(1, &|_| {
                     // SAFETY: single task owns the whole range.
-                    leaf(unsafe { view.range_mut(0..n) });
+                    leaf_sort(unsafe { view.range_mut(0..n) }, cmp, stable);
                 });
                 return;
             }
@@ -132,7 +113,7 @@ where
                 exec.run(tasks, &|t| {
                     // SAFETY: leaf ranges are disjoint.
                     let chunk = unsafe { view.range_mut(bounds[t]..bounds[t + 1]) };
-                    leaf(chunk);
+                    leaf_sort(chunk, cmp, stable);
                 });
             }
 
@@ -576,31 +557,6 @@ mod tests {
             expect.sort_unstable();
             sort_multiway(&policy, &mut v);
             assert_eq!(v, expect);
-        }
-    }
-
-    #[test]
-    fn sort_keys_matches_std_across_key_types() {
-        for policy in policies() {
-            for n in [0usize, 1, 2, 100, 1024, 10_001, 100_000] {
-                let mut v = scrambled(n);
-                let mut expect = v.clone();
-                expect.sort_unstable();
-                sort_keys(&policy, &mut v);
-                assert_eq!(v, expect, "u64 n={n}");
-            }
-            let mut narrow: Vec<u32> = (0..50_000u32).map(|i| i.wrapping_mul(2654435761)).collect();
-            let mut expect = narrow.clone();
-            expect.sort_unstable();
-            sort_keys(&policy, &mut narrow);
-            assert_eq!(narrow, expect);
-            let mut signed: Vec<i32> = (0..20_000i32)
-                .map(|i| (i - 10_000).wrapping_mul(48271))
-                .collect();
-            let mut expect = signed.clone();
-            expect.sort_unstable();
-            sort_keys(&policy, &mut signed);
-            assert_eq!(signed, expect);
         }
     }
 

@@ -58,7 +58,6 @@ pub mod compare;
 pub mod partition;
 pub mod reduce;
 pub mod scan;
-pub mod sort;
 
 /// Whether the dispatching entry points default to the wide path.
 /// Driven by the `simd` cargo feature; both paths are compiled either

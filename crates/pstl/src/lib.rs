@@ -84,12 +84,11 @@ pub use algorithms::set_ops::{
     includes, set_difference, set_intersection, set_symmetric_difference, set_union,
 };
 pub use algorithms::sort::{
-    nth_element, partial_sort, partial_sort_copy, sort, sort_by, sort_by_key, sort_keys,
-    sort_multiway, sort_multiway_by, stable_sort, stable_sort_by, stable_sort_by_key,
+    nth_element, partial_sort, partial_sort_copy, sort, sort_by, sort_by_key, sort_multiway,
+    sort_multiway_by, stable_sort, stable_sort_by, stable_sort_by_key,
 };
 pub use algorithms::transform::{transform, transform_binary};
 pub use algorithms::unique_remove::{remove_if, replace, replace_if, unique, unique_copy};
-pub use kernel::sort::RadixKey;
 pub use stream::{Pipeline, PipelineError, PipelineErrorKind, StreamStats};
 
 /// One-line import of the policy types and all algorithms.

@@ -3,10 +3,17 @@
 //! The parallel sorts of the C++ backends bottom out in a sequential sort
 //! (TBB: introsort leaves; GNU: sequential sort of each chunk before the
 //! multiway merge). To keep the whole substrate self-contained these
-//! kernels are implemented here from scratch: an introsort
-//! (median-of-three quicksort with heapsort depth fallback and insertion
-//! sort for small partitions), a stable bottom-up mergesort, a sequential
-//! two-way merge, binary searches, and a quickselect.
+//! kernels are implemented here from scratch: an introsort, a stable
+//! bottom-up mergesort, a sequential two-way merge, binary searches, and
+//! a quickselect.
+//!
+//! The introsort is a pattern-defeating quicksort in safe code, after
+//! BlockQuicksort (Edelkamp & Weiß, arXiv:1604.06697) and pdqsort
+//! (Peters, arXiv:2106.05123): a branch-free Lomuto partition, a
+//! median-of-three or ninther pivot, the ancestor-pivot rule that keeps
+//! inputs with few distinct keys linear, a heapsort fallback past
+//! `2·log2 n` levels and insertion sort for small partitions. The
+//! quickselect shares its pivot and partition.
 //!
 //! Every comparison kernel is generic over its comparator
 //! (`cmp: &C` with `C: Fn(&T, &T) -> Ordering + ?Sized`), so a closure is
@@ -71,24 +78,42 @@ where
     }
 }
 
-/// In-place introsort: quicksort with a `2·log2(n)` depth limit, heapsort
-/// beyond it, insertion sort for small partitions. Not stable.
+/// Partitions of at least this length take Tukey's ninther as pivot;
+/// shorter ones take a median of three.
+const NINTHER_THRESHOLD: usize = 128;
+
+/// In-place introsort: pattern-defeating quicksort with a `2·log2(n)`
+/// depth limit, heapsort beyond it, insertion sort for small partitions.
+/// Not stable.
+///
+/// Partitioning never branches on the data (see `lomuto`), so the
+/// cost of a level does not depend on how predictable the comparisons
+/// are. Runs of equal keys are peeled off in linear time: each
+/// partition remembers the pivot of its nearest left ancestor, and a
+/// pivot no greater than that one can only equal it, so every element
+/// `<=` the pivot is final and only the rest is sorted (pdqsort's rule).
 pub fn introsort<T, C>(data: &mut [T], cmp: &C)
 where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
     let depth_limit = 2 * (usize::BITS - data.len().leading_zeros()) as usize;
-    introsort_rec(data, cmp, depth_limit);
+    introsort_rec(data, None, cmp, depth_limit);
 }
 
-fn introsort_rec<T, C>(mut data: &mut [T], cmp: &C, mut depth: usize)
-where
+/// `ancestor` is a lower bound on every element of `data`: the pivot
+/// whose right side `data` is, if any.
+fn introsort_rec<'a, T, C>(
+    mut data: &'a mut [T],
+    mut ancestor: Option<&'a T>,
+    cmp: &C,
+    mut depth: usize,
+) where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
-    // Tail-recurse on the smaller side to bound stack depth.
+    // Recurse on the left side and loop on the right. Every level spends
+    // one unit of `depth`, so the stack stays within `2·log2(n)` frames.
     loop {
-        let n = data.len();
-        if n <= INSERTION_THRESHOLD {
+        if data.len() <= INSERTION_THRESHOLD {
             insertion_sort(data, cmp);
             return;
         }
@@ -97,72 +122,89 @@ where
             return;
         }
         depth -= 1;
-        let pivot = median_of_three(data, cmp);
-        let mid = hoare_partition(data, pivot, cmp);
-        let (left, right) = data.split_at_mut(mid);
-        if left.len() <= right.len() {
-            introsort_rec(left, cmp, depth);
-            data = right;
-        } else {
-            introsort_rec(right, cmp, depth);
-            data = left;
+        let (mid, equal) = partition(data, ancestor, cmp);
+        let (left, rest) = data.split_at_mut(mid);
+        let (pivot, right) = rest.split_at_mut(1);
+        let pivot = &pivot[0];
+        // When `equal`, `left` holds copies of the pivot: already in place.
+        if !equal {
+            introsort_rec(left, ancestor, cmp, depth);
         }
+        data = right;
+        ancestor = Some(pivot);
     }
 }
 
-/// Place a median-of-three pivot at index 0 and return its position 0.
-fn median_of_three<T, C>(data: &mut [T], cmp: &C) -> usize
+/// Choose a pivot and partition `data` (length at least 3) around it.
+/// Returns `(mid, equal)` with the pivot at `data[mid]`. Normally
+/// `data[..mid] < pivot <= data[mid + 1..]`. If `ancestor` is a lower
+/// bound of `data` and the pivot is not greater than it, the pivot
+/// equals it and so does every element `<=` it: then `equal` is true and
+/// `data[..mid]` are all copies of the pivot.
+fn partition<T, C>(data: &mut [T], ancestor: Option<&T>, cmp: &C) -> (usize, bool)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
+    let p = choose_pivot(data, cmp);
+    data.swap(0, p);
+    let (pivot, rest) = data.split_at_mut(1);
+    let pivot = &pivot[0];
+    let equal = ancestor.is_some_and(|a| cmp(a, pivot) != Ordering::Less);
+    let mid = if equal {
+        lomuto(rest, |x| cmp(pivot, x) != Ordering::Less)
+    } else {
+        lomuto(rest, |x| cmp(x, pivot) == Ordering::Less)
+    };
+    data.swap(0, mid);
+    (mid, equal)
+}
+
+/// Branch-free Lomuto partition: moves every element satisfying
+/// `goes_left` to the front and returns how many there are. Each step
+/// swaps unconditionally and advances the boundary by the comparison
+/// result as an integer, so the outcome of `goes_left` is data, never a
+/// jump the predictor has to guess.
+fn lomuto<T>(data: &mut [T], goes_left: impl Fn(&T) -> bool) -> usize {
+    let mut lt = 0;
+    for i in 0..data.len() {
+        let left = goes_left(&data[i]);
+        data.swap(lt, i);
+        lt += left as usize;
+    }
+    lt
+}
+
+/// Index of the pivot for `data` (length at least 3): the median of three
+/// samples at the quartiles, or Tukey's ninther (median of three such
+/// medians of neighbouring triples) from [`NINTHER_THRESHOLD`] on.
+fn choose_pivot<T, C>(data: &[T], cmp: &C) -> usize
 where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
     let n = data.len();
-    let (a, b, c) = (0, n / 2, n - 1);
-    // Order a <= b <= c, then use b as pivot (moved to front).
-    if cmp(&data[b], &data[a]) == Ordering::Less {
-        data.swap(a, b);
+    let (a, b, c) = (n / 4, n / 2, n / 4 * 3);
+    if n < NINTHER_THRESHOLD {
+        return median3(data, [a, b, c], cmp);
     }
-    if cmp(&data[c], &data[b]) == Ordering::Less {
-        data.swap(b, c);
-        if cmp(&data[b], &data[a]) == Ordering::Less {
-            data.swap(a, b);
-        }
-    }
-    data.swap(0, b);
-    0
+    let a = median3(data, [a - 1, a, a + 1], cmp);
+    let b = median3(data, [b - 1, b, b + 1], cmp);
+    let c = median3(data, [c - 1, c, c + 1], cmp);
+    median3(data, [a, b, c], cmp)
 }
 
-/// Hoare partition around the pivot at `pivot_idx` (must be 0); returns
-/// the split point `m` such that `data[..m] <= pivot <= data[m..]` with
-/// both sides non-empty.
-fn hoare_partition<T, C>(data: &mut [T], pivot_idx: usize, cmp: &C) -> usize
+/// Index of the median of `data[a]`, `data[b]`, `data[c]`.
+fn median3<T, C>(data: &[T], [a, b, c]: [usize; 3], cmp: &C) -> usize
 where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
-    debug_assert_eq!(pivot_idx, 0);
-    let n = data.len();
-    let mut i = 0usize;
-    let mut j = n;
-    loop {
-        // data[0] is the pivot; scan inward.
-        loop {
-            i += 1;
-            if i >= n || cmp(&data[i], &data[0]) != Ordering::Less {
-                break;
-            }
-        }
-        loop {
-            j -= 1;
-            if j == 0 || cmp(&data[j], &data[0]) != Ordering::Greater {
-                break;
-            }
-        }
-        if i >= j {
-            // Move pivot into its final place.
-            data.swap(0, j);
-            // Ensure both sides are non-empty to guarantee progress.
-            return (j).max(1).min(n - 1);
-        }
-        data.swap(i, j);
+    // All three comparisons up front, so the choice compiles to selects.
+    let less = |i: usize, j: usize| cmp(&data[i], &data[j]) == Ordering::Less;
+    let (ab, ac, bc) = (less(a, b), less(a, c), less(b, c));
+    let median_bc = if bc == ab { b } else { c };
+    if ab == ac {
+        median_bc
+    } else {
+        a
     }
 }
 
@@ -306,27 +348,32 @@ pub fn seq_equal<T: PartialEq>(a: &[T], b: &[T]) -> bool {
 
 /// In-place quickselect: after the call, `data[k]` holds the element that
 /// would be at position `k` after a full sort; smaller elements precede
-/// it, larger follow (in arbitrary order).
+/// it, larger follow (in arbitrary order). Same pivot, partition and
+/// duplicate rule as [`introsort`].
 pub fn quickselect<T, C>(data: &mut [T], k: usize, cmp: &C)
 where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
     assert!(k < data.len(), "quickselect index out of bounds");
-    let mut lo = 0;
-    let mut hi = data.len();
+    let (mut data, mut k) = (data, k);
+    let mut ancestor = None;
     loop {
-        if hi - lo <= INSERTION_THRESHOLD {
-            insertion_sort(&mut data[lo..hi], cmp);
+        if data.len() <= INSERTION_THRESHOLD {
+            insertion_sort(data, cmp);
             return;
         }
-        let part = &mut data[lo..hi];
-        median_of_three(part, cmp);
-        // `mid` is strictly inside (lo, hi), so the interval always shrinks.
-        let mid = lo + hoare_partition(part, 0, cmp);
+        let (mid, equal) = partition(data, ancestor, cmp);
+        if k == mid || (equal && k < mid) {
+            return;
+        }
+        let (left, rest) = data.split_at_mut(mid);
+        let (pivot, right) = rest.split_at_mut(1);
         if k < mid {
-            hi = mid;
+            data = left;
         } else {
-            lo = mid;
+            data = right;
+            ancestor = Some(&pivot[0]);
+            k -= mid + 1;
         }
     }
 }
@@ -334,6 +381,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
     use std::sync::Arc;
 
@@ -583,6 +632,125 @@ mod tests {
                 assert_eq!(v[k], expect[k], "n={n} k={k}");
                 assert!(v[..k].iter().all(|x| x <= &v[k]));
                 assert!(v[k + 1..].iter().all(|x| x >= &v[k]));
+            }
+        }
+    }
+
+    /// Musser's median-of-3 killer (n even): quadratic for a quicksort
+    /// that takes the median of the first, middle and last elements.
+    fn median_of_3_killer(n: usize) -> Vec<u64> {
+        let k = n / 2;
+        let mut v = vec![0; n];
+        for i in 1..=k {
+            if i % 2 == 1 {
+                v[i - 1] = i as u64;
+                v[i] = (k + i) as u64;
+            }
+            v[k + i - 1] = 2 * i as u64;
+        }
+        v
+    }
+
+    /// Inputs that defeat naive pivots, partitions or duplicate handling.
+    fn patterns(n: usize) -> Vec<(&'static str, Vec<u64>)> {
+        let n64 = n as u64;
+        vec![
+            ("sorted", (0..n64).collect()),
+            ("reversed", (0..n64).rev().collect()),
+            ("organ_pipe", (0..n64).map(|i| i.min(n64 - 1 - i)).collect()),
+            ("sawtooth", (0..n64).map(|i| i % 256).collect()),
+            ("few_distinct", (0..n64).map(|i| i % 4).collect()),
+            ("all_equal", vec![7; n]),
+            ("median_of_3_killer", median_of_3_killer(n)),
+        ]
+    }
+
+    #[test]
+    fn introsort_stays_within_comparison_budget() {
+        let n = 1usize << 14;
+        let log2n = n.trailing_zeros() as usize;
+        for (name, mut v) in patterns(n) {
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            let calls = Cell::new(0usize);
+            introsort(&mut v, &|a: &u64, b: &u64| {
+                calls.set(calls.get() + 1);
+                a.cmp(b)
+            });
+            assert_eq!(v, expect, "{name}");
+            // Equal keys must cost linear time (the ancestor-pivot rule).
+            let budget = if name == "all_equal" {
+                3 * n
+            } else {
+                3 * n * log2n
+            };
+            assert!(
+                calls.get() <= budget,
+                "{name}: {} comparisons, budget {budget}",
+                calls.get()
+            );
+        }
+    }
+
+    fn strings(n: usize) -> Vec<String> {
+        scrambled(n)
+            .iter()
+            .map(|x| format!("{:x}", x % 1000))
+            .collect()
+    }
+
+    fn assert_permutation(got: &[String], input: &[String], what: &str) {
+        let (mut got, mut input) = (got.to_vec(), input.to_vec());
+        got.sort();
+        input.sort();
+        assert_eq!(got, input, "{what}: not a permutation of the input");
+    }
+
+    #[test]
+    fn introsort_leaves_a_permutation_when_the_comparator_panics() {
+        let input = strings(600);
+        let total = Cell::new(0usize);
+        introsort(&mut input.clone(), &|a: &String, b: &String| {
+            total.set(total.get() + 1);
+            a.cmp(b)
+        });
+        let total = total.get();
+        for k in (0..total).step_by(total / 64 + 1) {
+            let mut v = input.clone();
+            let calls = Cell::new(0usize);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                introsort(&mut v, &|a: &String, b: &String| {
+                    assert!(calls.get() != k, "comparator panics at call {k}");
+                    calls.set(calls.get() + 1);
+                    a.cmp(b)
+                })
+            }));
+            assert!(result.is_err(), "k={k}: the comparator never panicked");
+            assert_permutation(&v, &input, &format!("panic at call {k}"));
+        }
+    }
+
+    #[test]
+    fn inconsistent_comparator_terminates_with_a_permutation() {
+        for n in [20usize, 100, 3000] {
+            let input = strings(n);
+            for seed in 1..=16u64 {
+                // xorshift64: a fresh, arbitrary ordering on every call.
+                let state = Cell::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let random = |_: &String, _: &String| {
+                    let mut x = state.get();
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    state.set(x);
+                    [Ordering::Less, Ordering::Equal, Ordering::Greater][(x % 3) as usize]
+                };
+                let mut v = input.clone();
+                introsort(&mut v, &random);
+                assert_permutation(&v, &input, &format!("introsort n={n} seed={seed}"));
+                let mut v = input.clone();
+                quickselect(&mut v, n / 2, &random);
+                assert_permutation(&v, &input, &format!("quickselect n={n} seed={seed}"));
             }
         }
     }

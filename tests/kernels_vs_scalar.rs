@@ -222,18 +222,6 @@ proptest! {
         );
     }
 
-    #[test]
-    fn radix_sort_matches_std_sort(mut data in vec_u32(), mut signed in vec_i64()) {
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        kernel::sort::radix_sort(&mut data[..]);
-        prop_assert_eq!(data, expect);
-
-        let mut expect64 = signed.clone();
-        expect64.sort_unstable();
-        kernel::sort::radix_sort(&mut signed[..]);
-        prop_assert_eq!(signed, expect64);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,7 +275,7 @@ proptest! {
     }
 
     #[test]
-    fn routed_scan_and_sort_keys_match_oracles(data in vec_u32()) {
+    fn routed_scan_matches_oracle(data in vec_u32()) {
         let scan_expect: Vec<u64> = data
             .iter()
             .scan(0u64, |acc, &x| {
@@ -295,17 +283,10 @@ proptest! {
                 Some(*acc)
             })
             .collect();
-        let mut sort_expect: Vec<u32> = data.clone();
-        sort_expect.sort_unstable();
         for policy in policies() {
-            let wide: Vec<u64> = data.iter().map(|&x| x as u64).collect();
-            let mut scanned = wide.clone();
+            let mut scanned: Vec<u64> = data.iter().map(|&x| x as u64).collect();
             pstl::inclusive_scan_in_place(&policy, &mut scanned, |a, b| a + b);
             prop_assert_eq!(&scanned, &scan_expect);
-
-            let mut keys = data.clone();
-            pstl::sort_keys(&policy, &mut keys);
-            prop_assert_eq!(&keys, &sort_expect);
         }
     }
 }
