@@ -108,10 +108,11 @@ pub struct MetricsSnapshot {
     /// from `cancelled_tasks`, which counts work cancelled *during*
     /// execution.
     pub jobs_deadline_expired: u64,
-    /// Times a streaming stage failed to push into a full inter-stage
-    /// channel and had to stall the item (backpressure events). A high
-    /// count relative to items flowed marks the bottleneck stage's
-    /// downstream channel as undersized.
+    /// Times a streaming stage failed to push a batch into an
+    /// inter-stage edge without room for all of it and had to stall the
+    /// batch (backpressure events; one per failed batch push, not per
+    /// item). A high count relative to batches flowed marks the
+    /// bottleneck stage's downstream edge as undersized.
     pub stage_push_waits: u64,
     /// In-flight streaming items discarded during pipeline teardown
     /// (cancellation or a stage panic). The stream layer guarantees

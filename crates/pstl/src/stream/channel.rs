@@ -1,13 +1,28 @@
 //! The bounded inter-stage channel of the streaming layer.
 //!
-//! Every edge of a pipeline is one [`RingChannel`]; capacity is the
-//! backpressure mechanism (a full channel stalls the producing stage,
-//! never blocks it — the engine is cooperative, so "waiting" means the
-//! stage worker moves on to other stages and retries on its next
-//! visit). The ring is a homegrown bounded MPMC queue in the style of
-//! Vyukov's array queue: one sequence number per slot, producers and
-//! consumers claim positions by CAS, no locks anywhere on the push/pop
-//! paths.
+//! Every edge of a pipeline is one [`Edge`]: a [`RingChannel`] whose
+//! slots carry *batches* of items, plus an item count that makes the
+//! edge's capacity exact in items. Capacity is the backpressure
+//! mechanism (a full edge stalls the producing stage, never blocks it
+//! — the engine is cooperative, so "waiting" means the stage worker
+//! moves on to other stages and retries on its next visit). The ring
+//! is a homegrown bounded MPMC queue in the style of Vyukov's array
+//! queue: one sequence number per slot, producers and consumers claim
+//! positions by CAS, no locks anywhere on the push/pop paths.
+//!
+//! # The exact item bound
+//!
+//! A batch of `n` items reserves `n` on the edge's item count *before*
+//! its push and releases them just *after* the pop that takes it, so
+//! the items queued on an edge never exceed its capacity, whatever the
+//! batch sizes. A push whose reservation would exceed the capacity
+//! fails (a push wait). The ring itself is sized to the capacity in
+//! *batches*, so after a successful reservation it is never truly full
+//! — but it can still refuse a push spuriously (a stale position read
+//! wraps its distance check, or a consumer is mid-pop on the slot), and
+//! then [`Edge::try_push`] hands the reservation back and reports the
+//! push as failed. A hop costs one reservation, one ring CAS on each
+//! side and one release per *batch*, not per item.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -190,6 +205,112 @@ impl<T> Drop for RingChannel<T> {
     }
 }
 
+/// What a consumer's pop on an [`Edge`] found.
+pub(super) enum PopResult<T> {
+    Batch(Vec<T>),
+    Empty,
+    EndOfStream,
+}
+
+/// One pipeline edge: a [`RingChannel`] of batches, bounded at exactly
+/// `capacity` *items* (see the module docs), plus the number of
+/// still-active producers feeding it. The last producer to finish
+/// closes the ring.
+pub(super) struct Edge<T> {
+    ring: RingChannel<Vec<T>>,
+    /// Items reserved on this edge: from just before the push of their
+    /// batch until just after the pop that takes it.
+    items: AtomicUsize,
+    capacity: usize,
+    producers: AtomicUsize,
+}
+
+impl<T: Send> Edge<T> {
+    /// An edge bounded at `capacity` items (at least 1), fed by
+    /// `producers` nodes. Batches pushed into it must not be longer
+    /// than the capacity.
+    pub(super) fn new(capacity: usize, producers: usize) -> Self {
+        let capacity = capacity.max(1);
+        Edge {
+            ring: RingChannel::new(capacity),
+            items: AtomicUsize::new(0),
+            capacity,
+            producers: AtomicUsize::new(producers),
+        }
+    }
+
+    /// Push a non-empty batch of at most `capacity` items, or hand it
+    /// back if the edge has no room for all of them.
+    pub(super) fn try_push(&self, batch: Vec<T>) -> Result<(), Vec<T>> {
+        let n = batch.len();
+        debug_assert!(n > 0 && n <= self.capacity, "batch of {n} items");
+        if !self.reserve(n) {
+            return Err(batch);
+        }
+        self.ring.try_push(batch).inspect_err(|_| {
+            // A spurious full: the reservation held, the ring refused.
+            self.items.fetch_sub(n, Ordering::Relaxed);
+        })
+    }
+
+    fn reserve(&self, n: usize) -> bool {
+        let mut queued = self.items.load(Ordering::Relaxed);
+        loop {
+            if queued + n > self.capacity {
+                return false;
+            }
+            match self.items.compare_exchange_weak(
+                queued,
+                queued + n,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(actual) => queued = actual,
+            }
+        }
+    }
+
+    /// Pop the oldest batch, with the closed-before-empty end-of-stream
+    /// check of the ring's close protocol (the flag is read *before*
+    /// the failed pop, so it is conclusive).
+    pub(super) fn pop_or_eos(&self) -> PopResult<T> {
+        let closed = self.ring.is_closed();
+        match self.ring.try_pop() {
+            Some(batch) => {
+                self.items.fetch_sub(batch.len(), Ordering::Relaxed);
+                PopResult::Batch(batch)
+            }
+            None if closed => PopResult::EndOfStream,
+            None => PopResult::Empty,
+        }
+    }
+
+    /// One producer is done pushing; the last one closes the edge.
+    pub(super) fn producer_done(&self) {
+        if self.producers.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.ring.close();
+        }
+    }
+
+    /// Teardown: pop every queued batch and return how many items they
+    /// held.
+    pub(super) fn drain(&self) -> u64 {
+        let mut n = 0;
+        while let Some(batch) = self.ring.try_pop() {
+            self.items.fetch_sub(batch.len(), Ordering::Relaxed);
+            n += batch.len() as u64;
+        }
+        n
+    }
+
+    /// Items currently reserved on the edge (never above the capacity).
+    #[cfg(test)]
+    pub(super) fn queued(&self) -> usize {
+        self.items.load(Ordering::Relaxed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,5 +411,103 @@ mod tests {
         all.sort_unstable();
         let expect: Vec<u32> = (0..2 * n).collect();
         assert_eq!(all, expect, "lost or duplicated items");
+    }
+    #[test]
+    fn edge_hands_back_the_reservation_when_the_ring_refuses() {
+        let edge = Edge::<u32>::new(3, 1);
+        // Fill the ring behind the item count, so a push whose
+        // reservation holds meets a full ring (what a spurious full
+        // looks like to the pusher).
+        for _ in 0..3 {
+            edge.ring.try_push(Vec::new()).unwrap();
+        }
+        assert_eq!(edge.try_push(vec![7]), Err(vec![7]));
+        assert_eq!(edge.queued(), 0, "reservation handed back");
+        assert_eq!(edge.drain(), 0);
+        assert_eq!(edge.try_push(vec![1, 2, 3]), Ok(()));
+        assert_eq!(
+            edge.try_push(vec![4]),
+            Err(vec![4]),
+            "items, not batches, are bounded"
+        );
+        assert_eq!(edge.queued(), 3);
+        assert_eq!(edge.drain(), 3);
+        assert_eq!(edge.queued(), 0);
+    }
+
+    #[test]
+    fn edge_close_after_last_producer_ends_the_stream() {
+        let edge = Edge::<u32>::new(4, 2);
+        edge.try_push(vec![1, 2]).unwrap();
+        edge.producer_done();
+        assert!(matches!(edge.pop_or_eos(), PopResult::Batch(b) if b == [1, 2]));
+        assert!(
+            matches!(edge.pop_or_eos(), PopResult::Empty),
+            "one producer left"
+        );
+        edge.producer_done();
+        assert!(matches!(edge.pop_or_eos(), PopResult::EndOfStream));
+    }
+
+    #[test]
+    fn concurrent_batched_edge_keeps_the_multiset_and_the_item_bound() {
+        // Two producers push batches of 1–2 items into one edge of
+        // capacity 3 while two consumers pop: the producers race on
+        // the ring's enqueue position, which is where a spurious full
+        // after a successful reservation comes from. Small enough to
+        // run under miri.
+        const CAP: usize = 3;
+        let edge = &Edge::<u32>::new(CAP, 2);
+        let n = if cfg!(miri) { 40u32 } else { 2_000 };
+        let seen = Mutex::new(Vec::new());
+        let seen = &seen;
+        std::thread::scope(|s| {
+            for p in 0..2u32 {
+                s.spawn(move || {
+                    let mut next = 0;
+                    while next < n {
+                        let len = (1 + next % 2).min(n - next);
+                        let mut batch: Vec<u32> = (next..next + len).map(|i| p * n + i).collect();
+                        loop {
+                            match edge.try_push(batch) {
+                                Ok(()) => break,
+                                Err(back) => {
+                                    batch = back;
+                                    std::thread::yield_now();
+                                }
+                            }
+                        }
+                        assert!(edge.queued() <= CAP, "{} items queued", edge.queued());
+                        next += len;
+                    }
+                    edge.producer_done();
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    loop {
+                        match edge.pop_or_eos() {
+                            PopResult::Batch(b) => {
+                                assert!(!b.is_empty() && b.len() <= 2);
+                                got.extend(b);
+                            }
+                            PopResult::Empty => std::thread::yield_now(),
+                            PopResult::EndOfStream => break,
+                        }
+                        assert!(edge.queued() <= CAP, "{} items queued", edge.queued());
+                    }
+                    seen.lock().extend(got);
+                });
+            }
+        });
+        let mut all = seen.lock().clone();
+        all.sort_unstable();
+        assert_eq!(
+            all,
+            (0..2 * n).collect::<Vec<_>>(),
+            "lost or duplicated items"
+        );
+        assert_eq!(edge.queued(), 0, "every reservation released");
     }
 }

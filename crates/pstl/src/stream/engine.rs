@@ -2,27 +2,37 @@
 //!
 //! A built pipeline is a linear chain of *node replicas* (one source,
 //! one per plain stage, `R` per farm, one implicit reorder node behind
-//! an ordered farm, one sink) connected by bounded channel *edges*.
+//! an ordered farm, one sink) connected by bounded [`Edge`]s.
 //! Execution maps the replicas onto an existing [`Executor`] without
 //! any new worker machinery: `run(M, driver)` is called once with
 //! `M = min(threads, replicas)` *driver* bodies, and each driver loops
 //! over every replica round-robin, claiming one at a time with a
 //! `try_lock` and stepping it for a bounded burst.
 //!
+//! Items move in *batches* of up to `min(capacity, BURST)`: the source
+//! fills a batch, a plain stage or farm replica maps a popped batch in
+//! order into one output batch, the reorder node releases whole
+//! in-order batches, and the sink consumes a batch per pop. A hop is
+//! paid once per batch. The edge still bounds its queue at exactly
+//! `capacity` *items* (see [`super::channel`]); on top of that each
+//! node holds at most one batch (popped, in hand, or mapped and
+//! waiting to be pushed), except the reorder node, which buffers early
+//! batches.
+//!
 //! The load-bearing invariant is that **any single driver can finish
-//! the whole pipeline alone**: a step never blocks (channels are
-//! try-only; a full downstream edge stalls the item inside the node and
-//! the driver moves on), so the engine cannot deadlock even when the
-//! executor runs the `M` bodies sequentially (fork-join with more tasks
-//! than threads, a task pool whose caller drains everything inline).
-//! Extra drivers only add parallelism.
+//! the whole pipeline alone**: a step never blocks (edges are
+//! try-only; a full downstream edge stalls the batch inside the node
+//! and the driver moves on), so the engine cannot deadlock even when
+//! the executor runs the `M` bodies sequentially (fork-join with more
+//! tasks than threads, a task pool whose caller drains everything
+//! inline). Extra drivers only add parallelism.
 //!
 //! Termination and teardown:
 //!
 //! * normal end-of-stream propagates by producer counting — the last
-//!   finishing producer of an edge closes its channel, consumers treat
-//!   *closed observed before an empty pop* as final (see the close
-//!   protocol on [`RingChannel`]);
+//!   finishing producer of an edge closes it, consumers treat *closed
+//!   observed before an empty pop* as final (see the close protocol on
+//!   [`RingChannel`](super::RingChannel));
 //! * a panic in any user closure is contained through
 //!   [`runtime::contain`] (the §14 envelope — this module adds no
 //!   containment machinery of its own), poisons the run, and surfaces as
@@ -32,7 +42,8 @@
 //!   semantics — drivers notice within one burst-bounded pass.
 //!
 //! After `run` returns, the *caller* (which now has exclusive access)
-//! drains every node's in-hand/stalled/buffered items and every edge's
+//! drains every node (the unmapped rest of a batch, the item in hand,
+//! mapped but unpushed output, the reorder buffer) and every edge's
 //! queue exactly once, so `produced == consumed + dropped` holds on
 //! every exit path — the drop-balance contract the chaos suite checks.
 
@@ -45,49 +56,17 @@ use parking_lot::Mutex;
 use pstl_executor::runtime;
 use pstl_executor::{CancelToken, Executor};
 
-use super::channel::RingChannel;
+use super::channel::{Edge, PopResult};
 use super::{PipelineError, PipelineErrorKind, StreamStats};
 
-/// Items processed per node claim before the driver moves on — bounds
-/// both cancellation latency and per-stage monopolization.
+/// Items per batch (when the capacity allows) and items moved per node
+/// claim before the driver moves on — bounds both cancellation latency
+/// and per-stage monopolization.
 const BURST: usize = 32;
 
 /// Every item carries the sequence number its source stamped; ordered
 /// farms restore this order, unordered farms ignore it.
 type Seq<V> = (u64, V);
-
-/// Channel plus the number of still-active producers feeding it. The
-/// last producer to finish closes the channel.
-struct Edge<V> {
-    chan: RingChannel<Seq<V>>,
-    producers: AtomicUsize,
-}
-
-impl<V: Send> Edge<V> {
-    fn producer_done(&self) {
-        if self.producers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.chan.close();
-        }
-    }
-
-    /// Closed-before-empty end-of-stream check (see the ring's close
-    /// protocol: the flag must be read *before* the failed pop to be
-    /// conclusive).
-    fn pop_or_eos(&self) -> PopResult<Seq<V>> {
-        let closed = self.chan.is_closed();
-        match self.chan.try_pop() {
-            Some(item) => PopResult::Item(item),
-            None if closed => PopResult::EndOfStream,
-            None => PopResult::Empty,
-        }
-    }
-}
-
-enum PopResult<T> {
-    Item(T),
-    Empty,
-    EndOfStream,
-}
 
 /// Cross-driver run state.
 pub(super) struct Shared {
@@ -159,6 +138,11 @@ impl StepOut {
             finished: false,
         }
     }
+
+    fn moved(&mut self, items: u64) {
+        self.items += items;
+        self.progress |= items > 0;
+    }
 }
 
 /// One schedulable replica. Implementations own typed handles on their
@@ -166,10 +150,13 @@ impl StepOut {
 trait Node: Send {
     fn step(&mut self, shared: &Shared) -> StepOut;
 
-    /// Teardown: drop whatever the node still holds (stalled output,
-    /// in-hand item lost to a panic, reorder buffer) and report how
-    /// many items that was. Called exactly once, after the run.
-    fn drain(&mut self) -> u64;
+    /// Teardown: drop whatever the node still holds (the unmapped rest
+    /// of a popped batch, the item in hand when a closure panicked,
+    /// mapped but unpushed output, the reorder buffer), report how many
+    /// items that was, and publish the node's own flow total (items
+    /// pulled by the source, consumed by the sink) to `shared`. Called
+    /// exactly once, after the run.
+    fn drain(&mut self, shared: &Shared) -> u64;
 }
 
 /// A replica slot in the graph: stage index for attribution plus the
@@ -191,6 +178,8 @@ pub(super) struct Graph {
 /// Accumulates the graph while the type-erased stage makers run.
 pub(super) struct Build {
     capacity: usize,
+    /// Items per batch: `min(capacity, BURST)`.
+    batch: usize,
     nodes: Vec<NodeSlot>,
     edge_drains: Vec<Box<dyn FnMut() -> u64 + Send>>,
     shared: Arc<Shared>,
@@ -200,26 +189,22 @@ impl Build {
     pub(super) fn new(capacity: usize) -> Self {
         Build {
             capacity,
+            batch: capacity.clamp(1, BURST),
             nodes: Vec::new(),
             edge_drains: Vec::new(),
             shared: Shared::new(),
         }
     }
 
-    fn new_edge<V: Send + 'static>(&mut self, producers: usize) -> Arc<Edge<V>> {
-        let edge = Arc::new(Edge {
-            chan: RingChannel::new(self.capacity),
-            producers: AtomicUsize::new(producers),
-        });
+    fn new_edge<V: Send + 'static>(&mut self, producers: usize) -> Arc<Edge<Seq<V>>> {
+        let edge = Arc::new(Edge::new(self.capacity, producers));
         let drain = Arc::clone(&edge);
-        self.edge_drains.push(Box::new(move || {
-            let mut n = 0;
-            while drain.chan.try_pop().is_some() {
-                n += 1;
-            }
-            n
-        }));
+        self.edge_drains.push(Box::new(move || drain.drain()));
         edge
+    }
+
+    fn outbox<V: Send>(&self, edge: &Arc<Edge<Seq<V>>>) -> Outbox<V> {
+        Outbox::new(Arc::clone(edge), self.batch)
     }
 
     fn push_node(&mut self, stage: usize, node: Box<dyn Node>) {
@@ -236,8 +221,8 @@ impl Build {
 /// guarantees.
 pub(super) type AnyEdge = Box<dyn Any>;
 
-fn downcast_edge<V: Send + 'static>(any: AnyEdge) -> Arc<Edge<V>> {
-    *any.downcast::<Arc<Edge<V>>>()
+fn downcast_edge<V: Send + 'static>(any: AnyEdge) -> Arc<Edge<Seq<V>>> {
+    *any.downcast::<Arc<Edge<Seq<V>>>>()
         .expect("stage maker chain preserves the item type")
 }
 
@@ -251,18 +236,13 @@ where
     I::Item: Send + 'static,
 {
     let out = build.new_edge::<I::Item>(1);
-    let shared = Arc::clone(&build.shared);
-    build.push_node(
-        0,
-        Box::new(SourceNode {
-            iter: Some(iter),
-            next_seq: 0,
-            out: Arc::clone(&out),
-            stall: None,
-            shared,
-            finished: false,
-        }),
-    );
+    let node = SourceNode {
+        iter: Some(iter),
+        next_seq: 0,
+        out: build.outbox(&out),
+        finished: false,
+    };
+    build.push_node(0, Box::new(node));
     Box::new(out)
 }
 
@@ -274,18 +254,8 @@ where
 {
     let input = downcast_edge::<T>(input);
     let out = build.new_edge::<U>(1);
-    build.push_node(
-        stage,
-        Box::new(WorkNode {
-            f: StageFn::Exclusive(Box::new(f)),
-            input,
-            out: Arc::clone(&out),
-            stall: None,
-            in_hand: 0,
-            finished: false,
-            _marker: std::marker::PhantomData,
-        }),
-    );
+    let node = WorkNode::new(StageFn::Exclusive(Box::new(f)), input, build.outbox(&out));
+    build.push_node(stage, Box::new(node));
     Box::new(out)
 }
 
@@ -307,35 +277,26 @@ where
     let mid = build.new_edge::<U>(replicas);
     let f: Arc<dyn Fn(T) -> U + Send + Sync> = Arc::new(f);
     for _ in 0..replicas {
-        build.push_node(
-            stage,
-            Box::new(WorkNode {
-                f: StageFn::Shared(Arc::clone(&f)),
-                input: Arc::clone(&input),
-                out: Arc::clone(&mid),
-                stall: None,
-                in_hand: 0,
-                finished: false,
-                _marker: std::marker::PhantomData,
-            }),
+        let node = WorkNode::new(
+            StageFn::Shared(Arc::clone(&f)),
+            Arc::clone(&input),
+            build.outbox(&mid),
         );
+        build.push_node(stage, Box::new(node));
     }
     if !ordered {
         return Box::new(mid);
     }
     let out = build.new_edge::<U>(1);
-    build.push_node(
-        stage,
-        Box::new(ReorderNode {
-            input: mid,
-            out: Arc::clone(&out),
-            buf: BTreeMap::new(),
-            next_seq: 0,
-            stall: None,
-            flushing: false,
-            finished: false,
-        }),
-    );
+    let node = ReorderNode {
+        input: mid,
+        out: build.outbox(&out),
+        buf: BTreeMap::new(),
+        next_seq: 0,
+        flushing: false,
+        finished: false,
+    };
+    build.push_node(stage, Box::new(node));
     Box::new(out)
 }
 
@@ -350,7 +311,9 @@ where
         Box::new(SinkNode {
             f,
             input,
+            pending: Vec::new().into_iter(),
             in_hand: 0,
+            consumed: 0,
             finished: false,
         }),
     );
@@ -360,12 +323,67 @@ where
 // Nodes
 // ---------------------------------------------------------------------
 
+/// Output a node has produced but not yet pushed: one batch of at most
+/// `limit` items, pushed downstream whole.
+struct Outbox<V> {
+    edge: Arc<Edge<Seq<V>>>,
+    batch: Vec<Seq<V>>,
+    limit: usize,
+}
+
+/// What [`Outbox::flush`] did.
+enum Flush {
+    /// The outbox is empty now; this many items went downstream.
+    Pushed(u64),
+    /// The edge had no room; the batch stays in the outbox.
+    Stalled,
+}
+
+impl<V: Send> Outbox<V> {
+    fn new(edge: Arc<Edge<Seq<V>>>, limit: usize) -> Self {
+        Outbox {
+            edge,
+            batch: Vec::new(),
+            limit,
+        }
+    }
+
+    /// The (empty) batch to fill, with room for `limit` items.
+    fn open(&mut self) -> &mut Vec<Seq<V>> {
+        if self.batch.capacity() == 0 {
+            self.batch.reserve_exact(self.limit);
+        }
+        &mut self.batch
+    }
+
+    /// Push the held batch, if any. A failed push counts one push wait.
+    fn flush(&mut self, shared: &Shared) -> Flush {
+        if self.batch.is_empty() {
+            return Flush::Pushed(0);
+        }
+        let n = self.batch.len() as u64;
+        match self.edge.try_push(std::mem::take(&mut self.batch)) {
+            Ok(()) => Flush::Pushed(n),
+            Err(batch) => {
+                self.batch = batch;
+                shared.push_waits.fetch_add(1, Ordering::Relaxed);
+                Flush::Stalled
+            }
+        }
+    }
+
+    fn drain(&mut self) -> u64 {
+        let n = self.batch.len() as u64;
+        self.batch.clear();
+        n
+    }
+}
+
 struct SourceNode<I: Iterator> {
     iter: Option<I>,
+    /// Sequence number of the next item, so also the items pulled.
     next_seq: u64,
-    out: Arc<Edge<I::Item>>,
-    stall: Option<Seq<I::Item>>,
-    shared: Arc<Shared>,
+    out: Outbox<I::Item>,
     finished: bool,
 }
 
@@ -379,58 +397,45 @@ where
             return StepOut::idle();
         }
         let mut out = StepOut::idle();
-        if let Some(item) = self.stall.take() {
-            match self.out.chan.try_push(item) {
-                Ok(()) => {
-                    out.progress = true;
-                    out.items += 1;
-                }
-                Err(item) => {
-                    self.stall = Some(item);
-                    shared.push_waits.fetch_add(1, Ordering::Relaxed);
-                    return out;
-                }
+        loop {
+            match self.out.flush(shared) {
+                Flush::Pushed(n) => out.moved(n),
+                Flush::Stalled => return out,
             }
-        }
-        while out.items < BURST as u64 {
+            if out.items >= BURST as u64 {
+                return out;
+            }
             let Some(iter) = self.iter.as_mut() else {
                 break;
             };
-            // May panic (chaos: faulty source); nothing is in hand yet,
-            // so a panic here loses no produced item.
-            match iter.next() {
-                Some(v) => {
-                    self.shared.produced.fetch_add(1, Ordering::Relaxed);
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    match self.out.chan.try_push((seq, v)) {
-                        Ok(()) => {
-                            out.progress = true;
-                            out.items += 1;
-                        }
-                        Err(item) => {
-                            self.stall = Some(item);
-                            shared.push_waits.fetch_add(1, Ordering::Relaxed);
-                            return out;
-                        }
+            // Fill one batch. `next` may panic (chaos: faulty source);
+            // the items pulled before it are in the outbox and counted
+            // by `next_seq`, so teardown drops and counts them.
+            let limit = self.out.limit;
+            let batch = self.out.open();
+            while batch.len() < limit {
+                match iter.next() {
+                    Some(v) => {
+                        batch.push((self.next_seq, v));
+                        self.next_seq += 1;
                     }
-                }
-                None => {
-                    self.iter = None;
+                    None => {
+                        self.iter = None;
+                        break;
+                    }
                 }
             }
         }
-        if self.iter.is_none() && self.stall.is_none() {
-            self.finished = true;
-            self.out.producer_done();
-            out.progress = true;
-            out.finished = true;
-        }
+        self.finished = true;
+        self.out.edge.producer_done();
+        out.progress = true;
+        out.finished = true;
         out
     }
 
-    fn drain(&mut self) -> u64 {
-        u64::from(self.stall.take().is_some())
+    fn drain(&mut self, shared: &Shared) -> u64 {
+        shared.produced.store(self.next_seq, Ordering::Relaxed);
+        self.out.drain()
     }
 }
 
@@ -449,17 +454,31 @@ impl<T, U> StageFn<T, U> {
     }
 }
 
+/// A plain stage or one farm replica: pops a batch, maps it in order
+/// into one output batch, pushes that.
 struct WorkNode<T, U> {
     f: StageFn<T, U>,
-    input: Arc<Edge<T>>,
-    out: Arc<Edge<U>>,
-    stall: Option<Seq<U>>,
-    /// Items popped but not yet re-queued or stalled — set around the
-    /// user closure so a panic mid-item still balances the drop
-    /// accounting (the in-hand item is counted by `drain`).
+    input: Arc<Edge<Seq<T>>>,
+    /// The popped batch's items not yet mapped.
+    pending: std::vec::IntoIter<Seq<T>>,
+    /// 1 while the user closure holds an item — so a panic mid-item
+    /// still balances the drop accounting (`drain` counts it).
     in_hand: u64,
+    out: Outbox<U>,
     finished: bool,
-    _marker: std::marker::PhantomData<fn(T) -> U>,
+}
+
+impl<T: Send, U: Send> WorkNode<T, U> {
+    fn new(f: StageFn<T, U>, input: Arc<Edge<Seq<T>>>, out: Outbox<U>) -> Self {
+        WorkNode {
+            f,
+            input,
+            pending: Vec::new().into_iter(),
+            in_hand: 0,
+            out,
+            finished: false,
+        }
+    }
 }
 
 impl<T, U> Node for WorkNode<T, U>
@@ -472,67 +491,72 @@ where
             return StepOut::idle();
         }
         let mut out = StepOut::idle();
-        if let Some(item) = self.stall.take() {
-            match self.out.chan.try_push(item) {
-                Ok(()) => {
-                    out.progress = true;
-                    out.items += 1;
-                }
-                Err(item) => {
-                    self.stall = Some(item);
-                    shared.push_waits.fetch_add(1, Ordering::Relaxed);
-                    return out;
-                }
+        loop {
+            match self.out.flush(shared) {
+                Flush::Pushed(n) => out.moved(n),
+                Flush::Stalled => return out,
             }
-        }
-        while out.items < BURST as u64 {
+            if out.items >= BURST as u64 {
+                return out;
+            }
             match self.input.pop_or_eos() {
-                PopResult::Item((seq, v)) => {
-                    self.in_hand = 1;
-                    let u = self.f.call(v); // may panic: in_hand covers v
-                    self.in_hand = 0;
-                    match self.out.chan.try_push((seq, u)) {
-                        Ok(()) => {
-                            out.progress = true;
-                            out.items += 1;
-                        }
-                        Err(item) => {
-                            self.stall = Some(item);
-                            shared.push_waits.fetch_add(1, Ordering::Relaxed);
-                            return out;
-                        }
+                PopResult::Batch(batch) => {
+                    out.progress = true;
+                    // Batches never exceed the capacity every edge
+                    // shares, so one input batch fills at most one
+                    // output batch.
+                    self.pending = batch.into_iter();
+                    let mapped = self.out.open();
+                    for (seq, v) in self.pending.by_ref() {
+                        self.in_hand = 1;
+                        let u = self.f.call(v); // may panic: in_hand covers v
+                        self.in_hand = 0;
+                        mapped.push((seq, u));
                     }
                 }
                 PopResult::EndOfStream => {
                     self.finished = true;
-                    self.out.producer_done();
+                    self.out.edge.producer_done();
                     out.progress = true;
                     out.finished = true;
                     return out;
                 }
-                PopResult::Empty => break,
+                PopResult::Empty => return out,
             }
         }
-        out
     }
 
-    fn drain(&mut self) -> u64 {
-        self.in_hand + u64::from(self.stall.take().is_some())
+    fn drain(&mut self, _shared: &Shared) -> u64 {
+        let unmapped = self.pending.len() as u64;
+        self.pending = Vec::new().into_iter();
+        unmapped + self.in_hand + self.out.drain()
     }
 }
 
 /// The implicit node behind an ordered farm: buffers out-of-order
-/// results by source sequence number and releases them in order.
+/// batches by source sequence number and releases them in order. Every
+/// batch is a run of consecutive sequence numbers (the source stamps a
+/// batch in order and every node maps a batch 1:1, in order), so whole
+/// batches are buffered and released.
 struct ReorderNode<V> {
-    input: Arc<Edge<V>>,
-    out: Arc<Edge<V>>,
-    buf: BTreeMap<u64, V>,
+    input: Arc<Edge<Seq<V>>>,
+    out: Outbox<V>,
+    /// Early batches keyed by their first sequence number.
+    buf: BTreeMap<u64, Vec<Seq<V>>>,
     next_seq: u64,
-    stall: Option<Seq<V>>,
     /// Input closed: emit whatever is buffered (skipping gaps, which
     /// only a poisoned run can produce) instead of waiting forever.
     flushing: bool,
     finished: bool,
+}
+
+impl<V: Send + 'static> ReorderNode<V> {
+    /// Queue `batch` (a run starting at `next_seq` or, when flushing,
+    /// past a gap) for release.
+    fn release(&mut self, batch: Vec<Seq<V>>) {
+        self.next_seq = batch.last().map_or(self.next_seq, |(seq, _)| seq + 1);
+        self.out.batch = batch;
+    }
 }
 
 impl<V: Send + 'static> Node for ReorderNode<V> {
@@ -542,47 +566,39 @@ impl<V: Send + 'static> Node for ReorderNode<V> {
         }
         let mut out = StepOut::idle();
         loop {
-            if let Some(item) = self.stall.take() {
-                match self.out.chan.try_push(item) {
-                    Ok(()) => {
-                        out.progress = true;
-                        out.items += 1;
-                    }
-                    Err(item) => {
-                        self.stall = Some(item);
-                        shared.push_waits.fetch_add(1, Ordering::Relaxed);
-                        return out;
-                    }
-                }
+            match self.out.flush(shared) {
+                Flush::Pushed(n) => out.moved(n),
+                Flush::Stalled => return out,
             }
             if out.items >= BURST as u64 {
                 return out;
             }
-            // Release the longest in-order run already buffered.
-            if let Some(v) = self.buf.remove(&self.next_seq) {
-                self.stall = Some((self.next_seq, v));
-                self.next_seq += 1;
+            if let Some(batch) = self.buf.remove(&self.next_seq) {
+                self.release(batch);
                 continue;
             }
             if self.flushing {
                 // Gaps cannot fill any more: jump to the next buffered
-                // sequence, or finish when the buffer is dry.
-                if let Some((&seq, _)) = self.buf.iter().next() {
-                    let v = self.buf.remove(&seq).unwrap();
-                    self.stall = Some((seq, v));
-                    self.next_seq = seq + 1;
+                // run, or finish when the buffer is dry.
+                if let Some((_, batch)) = self.buf.pop_first() {
+                    self.release(batch);
                     continue;
                 }
                 self.finished = true;
-                self.out.producer_done();
+                self.out.edge.producer_done();
                 out.progress = true;
                 out.finished = true;
                 return out;
             }
             match self.input.pop_or_eos() {
-                PopResult::Item((seq, v)) => {
-                    self.buf.insert(seq, v);
+                PopResult::Batch(batch) => {
                     out.progress = true;
+                    let first = batch[0].0;
+                    if first == self.next_seq {
+                        self.release(batch);
+                    } else {
+                        self.buf.insert(first, batch);
+                    }
                 }
                 PopResult::EndOfStream => {
                     self.flushing = true;
@@ -593,17 +609,20 @@ impl<V: Send + 'static> Node for ReorderNode<V> {
         }
     }
 
-    fn drain(&mut self) -> u64 {
-        let n = self.buf.len() as u64 + u64::from(self.stall.take().is_some());
+    fn drain(&mut self, _shared: &Shared) -> u64 {
+        let buffered: usize = self.buf.values().map(Vec::len).sum();
         self.buf.clear();
-        n
+        buffered as u64 + self.out.drain()
     }
 }
 
 struct SinkNode<T, F> {
     f: F,
-    input: Arc<Edge<T>>,
+    input: Arc<Edge<Seq<T>>>,
+    /// The popped batch's items not yet consumed.
+    pending: std::vec::IntoIter<Seq<T>>,
     in_hand: u64,
+    consumed: u64,
     finished: bool,
 }
 
@@ -612,20 +631,22 @@ where
     T: Send + 'static,
     F: FnMut(T) + Send + 'static,
 {
-    fn step(&mut self, shared: &Shared) -> StepOut {
+    fn step(&mut self, _shared: &Shared) -> StepOut {
         if self.finished {
             return StepOut::idle();
         }
         let mut out = StepOut::idle();
         while out.items < BURST as u64 {
             match self.input.pop_or_eos() {
-                PopResult::Item((_seq, v)) => {
-                    self.in_hand = 1;
-                    (self.f)(v); // may panic: in_hand covers v
-                    self.in_hand = 0;
-                    shared.consumed.fetch_add(1, Ordering::Relaxed);
-                    out.progress = true;
-                    out.items += 1;
+                PopResult::Batch(batch) => {
+                    out.moved(batch.len() as u64);
+                    self.pending = batch.into_iter();
+                    for (_seq, v) in self.pending.by_ref() {
+                        self.in_hand = 1;
+                        (self.f)(v); // may panic: in_hand covers v
+                        self.in_hand = 0;
+                        self.consumed += 1;
+                    }
                 }
                 PopResult::EndOfStream => {
                     self.finished = true;
@@ -639,8 +660,11 @@ where
         out
     }
 
-    fn drain(&mut self) -> u64 {
-        self.in_hand
+    fn drain(&mut self, shared: &Shared) -> u64 {
+        shared.consumed.store(self.consumed, Ordering::Relaxed);
+        let unconsumed = self.pending.len() as u64;
+        self.pending = Vec::new().into_iter();
+        unconsumed + self.in_hand
     }
 }
 
@@ -736,7 +760,7 @@ pub(super) fn run_graph(
     // cannot contend. Each node and each edge is drained exactly once.
     let mut dropped = 0u64;
     for slot in &graph.nodes {
-        dropped += slot.node.lock().drain();
+        dropped += slot.node.lock().drain(&shared);
     }
     for drain in &mut edge_drains {
         dropped += drain();
@@ -764,4 +788,167 @@ pub(super) fn run_graph(
         });
     }
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BURST;
+    use crate::stream::{Pipeline, PipelineError, PipelineErrorKind};
+    use pstl_executor::{build_pool, Discipline, Executor};
+    use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    #[test]
+    fn item_capacity_is_exact_under_batching() {
+        // source → stage → farm(2) → sink: three edges and five nodes.
+        // Each edge queues at most `cap` items and each node holds at
+        // most one batch, so that bounds the items pulled but not yet
+        // consumed. A slow sink keeps every edge backed up.
+        for d in [Discipline::WorkStealing, Discipline::TaskPool] {
+            let pool = build_pool(d, 3);
+            for cap in [1usize, 3, 33, 64] {
+                let bound = 3 * cap as u64 + 5 * cap.min(BURST) as u64;
+                let pulled = Arc::new(AtomicU64::new(0));
+                let consumed = Arc::new(AtomicU64::new(0));
+                let worst = Arc::new(AtomicU64::new(0));
+                let (p, c, w) = (
+                    Arc::clone(&pulled),
+                    Arc::clone(&consumed),
+                    Arc::clone(&worst),
+                );
+                let source = (0..3_000u64).inspect(move |_| {
+                    let in_flight = p.fetch_add(1, Ordering::SeqCst) + 1 - c.load(Ordering::SeqCst);
+                    w.fetch_max(in_flight, Ordering::SeqCst);
+                });
+                let c = Arc::clone(&consumed);
+                let stats = Pipeline::source(source)
+                    .capacity(cap)
+                    .stage(|x| x + 1)
+                    .farm(2, |x| x * 2)
+                    .sink(move |_| {
+                        c.fetch_add(1, Ordering::SeqCst);
+                        for _ in 0..50 {
+                            std::hint::spin_loop();
+                        }
+                    })
+                    .run(&*pool)
+                    .unwrap();
+                assert_eq!((stats.produced, stats.consumed), (3_000, 3_000));
+                let worst = worst.load(Ordering::SeqCst);
+                assert!(
+                    worst <= bound,
+                    "{d:?} cap {cap}: {worst} items in flight, bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn capacity_one_output_matches_the_sequential_oracle() {
+        let pool = build_pool(Discipline::WorkStealing, 3);
+        let want: Vec<u64> = (0..500u64).map(|x| (x + 1) * 3).collect();
+        let ordered = Pipeline::source(0..500u64)
+            .capacity(1)
+            .stage(|x| x + 1)
+            .ordered_farm(2, |x| x * 3)
+            .collect(&*pool)
+            .unwrap();
+        assert_eq!(ordered, want);
+        let mut unordered = Pipeline::source(0..500u64)
+            .capacity(1)
+            .stage(|x| x + 1)
+            .farm(2, |x| x * 3)
+            .collect(&*pool)
+            .unwrap();
+        unordered.sort_unstable();
+        assert_eq!(unordered, want);
+    }
+
+    /// An item that counts how many of its kind are alive.
+    struct Elem(u64, Arc<AtomicIsize>);
+
+    impl Elem {
+        fn new(v: u64, live: &Arc<AtomicIsize>) -> Elem {
+            live.fetch_add(1, Ordering::SeqCst);
+            Elem(v, Arc::clone(live))
+        }
+    }
+
+    impl Drop for Elem {
+        fn drop(&mut self) {
+            self.1.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Where the mid-batch panic is injected.
+    #[derive(Debug, Clone, Copy)]
+    enum At {
+        Stage,
+        Farm,
+        OrderedFarm,
+        Sink,
+    }
+
+    /// `source → X → sink`, panicking on item `trip`, where X is an
+    /// identity stage or farm and the panic is in X or in the sink.
+    fn run_tripping(
+        at: At,
+        trip: u64,
+        pool: &dyn Executor,
+        live: &Arc<AtomicIsize>,
+    ) -> PipelineError {
+        let made = Arc::clone(live);
+        let source = Pipeline::source((0..2_000u64).map(move |v| Elem::new(v, &made)));
+        let check = move |e: Elem| {
+            if e.0 == trip {
+                panic!("trip at {trip}");
+            }
+            e
+        };
+        let built = match at {
+            At::Stage => source.stage(check),
+            At::Farm => source.farm(2, check),
+            At::OrderedFarm => source.ordered_farm(2, check),
+            At::Sink => source.stage(|e: Elem| e),
+        };
+        let sinked = match at {
+            At::Sink => built.sink(move |e: Elem| drop(check(e))),
+            _ => built.sink(drop),
+        };
+        sinked.run(pool).unwrap_err()
+    }
+
+    #[test]
+    fn mid_batch_panics_report_the_stage_and_balance() {
+        let live = Arc::new(AtomicIsize::new(0));
+        for d in [Discipline::WorkStealing, Discipline::ForkJoin] {
+            let pool = build_pool(d, 3);
+            for at in [At::Stage, At::Farm, At::OrderedFarm, At::Sink] {
+                for trip in [0, 1, BURST as u64 - 1, BURST as u64] {
+                    let label = format!("{d:?}/{at:?}/item {trip}");
+                    let err = run_tripping(at, trip, &*pool, &live);
+                    let want_stage = if matches!(at, At::Sink) { 2 } else { 1 };
+                    match &err.kind {
+                        PipelineErrorKind::StagePanicked { stage, message } => {
+                            assert_eq!(*stage, want_stage, "{label}");
+                            assert!(message.contains("trip at"), "{label}: {message}");
+                        }
+                        other => panic!("{label}: expected StagePanicked, got {other:?}"),
+                    }
+                    let s = err.stats;
+                    assert_eq!(s.produced, s.consumed + s.dropped, "{label}: {s:?}");
+                    assert_eq!(
+                        live.load(Ordering::SeqCst),
+                        0,
+                        "{label}: leak or double drop"
+                    );
+                }
+            }
+            let again = Pipeline::source(0..300u64)
+                .ordered_farm(2, |x| x + 1)
+                .collect(&*pool)
+                .unwrap();
+            assert_eq!(again, (1..=300).collect::<Vec<_>>(), "{d:?}: pool reusable");
+        }
+    }
 }

@@ -33,10 +33,15 @@
 //!   preserve source order end to end; [`farm`](PipelineBuilder::farm)
 //!   trades order for throughput (multiset semantics — same items, any
 //!   order).
-//! * **Backpressure** — every edge is a bounded [`RingChannel`]
-//!   ([`capacity`](PipelineBuilder::capacity) items); a full channel
-//!   stalls the producing stage cooperatively and counts a
-//!   `stage_push_waits` metric tick.
+//! * **Backpressure** — every edge is bounded at exactly
+//!   [`capacity`](PipelineBuilder::capacity) items. Items cross an
+//!   edge in batches of up to `min(capacity, 32)` on a [`RingChannel`],
+//!   so a hop is paid once per batch; see [`channel`] for how the
+//!   item bound stays exact. A batch that does not fit stalls the
+//!   producing stage cooperatively and counts one `stage_push_waits`
+//!   metric tick per failed *batch* push, and with `trace` on each
+//!   `StageBurst` event carries the items a stage moved in one claim —
+//!   whole batches.
 //! * **Cancellation** — attach a [`CancelToken`]
 //!   ([`with_cancel`](PipelineBuilder::with_cancel)); once it trips
 //!   (manually or by deadline), drivers stop within one bounded burst,
@@ -79,7 +84,9 @@ pub struct StreamStats {
     /// counted exactly once. `produced == consumed + dropped` on every
     /// exit path.
     pub dropped: u64,
-    /// Backpressure stalls: failed pushes into a full channel.
+    /// Backpressure stalls: failed *batch* pushes into an edge without
+    /// room for the whole batch (one tick per failed push, however many
+    /// items the batch held).
     pub push_waits: u64,
 }
 
