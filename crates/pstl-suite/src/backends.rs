@@ -84,7 +84,9 @@ impl BackendHost {
     }
 
     /// Whether this backend's `sort` should use the multiway (GNU/MCSTL)
-    /// algorithm rather than the default parallel mergesort.
+    /// algorithm rather than the default parallel quicksort (the TBB/NVC
+    /// shape, which real mode also runs for HPX: its binary mergesort
+    /// exists in `pstl-sim` only).
     pub fn uses_multiway_sort(backend: Backend) -> bool {
         matches!(backend, Backend::GccGnu)
     }

@@ -37,7 +37,8 @@ const GATE_WIDE_SPEEDUP: f64 = 1.0 / 0.7;
 /// The sort leaf may take at most 1.5× the time of `slice::sort_unstable`
 /// (time ratio ≤ 1.5 ⇒ speedup ≥ 1/1.5).
 const GATE_SORT_LEAF: f64 = 1.0 / 1.5;
-/// Sort-leaf row size: one leaf of the `bulk` workload's mergesort.
+/// Sort-leaf row size: about one leaf segment of the `bulk` workload's
+/// quicksort (2^20 elements over 16 tasks).
 const SORT_LEAF_N: usize = 1 << 16;
 
 #[derive(Serialize)]

@@ -37,7 +37,9 @@ pub fn run_inclusive_scan(policy: &ExecutionPolicy, src: &[f64], out: &mut [f64]
 }
 
 /// `X::sort` — ascending sort; GNU's backend uses multiway mergesort
-/// (MCSTL), the others the parallel mergesort.
+/// (MCSTL), the others the in-place parallel quicksort that `pstl-sim`
+/// assigns to TBB and NVC. HPX's binary mergesort is modelled in
+/// `pstl-sim` only.
 pub fn run_sort(policy: &ExecutionPolicy, backend: Backend, data: &mut [f64]) {
     if BackendHost::uses_multiway_sort(backend) {
         pstl::sort_multiway_by(policy, data, f64::total_cmp);

@@ -185,7 +185,7 @@ where
 /// [`Placement`] asks for it.
 ///
 /// This is the single allocation entry point for the algorithms'
-/// whole-input scratch/output buffers (`sort` merge scratch, `partition`
+/// whole-input scratch/output buffers (`stable_sort` merge scratch, `partition`
 /// copies, `inplace_merge`, `unique`…). Under [`Placement::Default`] it is
 /// a plain `to_vec()` — every page first-touched by the calling thread,
 /// the paper's "default allocator" baseline. Under

@@ -1,12 +1,18 @@
 //! Sorting — the paper's `sort` benchmark (§5.6).
 //!
-//! Two parallel sorts are provided, mirroring the two backend families the
-//! paper contrasts:
+//! Three parallel sorts are provided, one per algorithm shape among the
+//! backends the paper contrasts:
 //!
-//! * [`sort`] / [`stable_sort`] — **binary parallel mergesort** (the
-//!   TBB/HPX shape): sorted leaf chunks, then `log2` merge passes whose
-//!   big merges are split across threads with merge-path co-ranking.
-//!   Every pass traverses the whole array, which is what limits its
+//! * [`sort`] — **in-place parallel quicksort** (the TBB/NVC shape): a
+//!   split phase partitions segments in parallel one level at a time,
+//!   then one pool task sorts each segment. Its first level is a single
+//!   serial partition of the whole input, the limit the paper names for
+//!   TBB's and NVC's `std::sort(par)`. It allocates nothing proportional
+//!   to `n`.
+//! * [`stable_sort`] — **binary parallel mergesort**: sorted leaf chunks,
+//!   then `log2` merge passes through an `n`-element buffer, whose big
+//!   merges are split across threads with merge-path co-ranking. Every
+//!   pass traverses the whole array, which is what limits its
 //!   scalability on memory-bound machines.
 //! * [`sort_multiway`] — **PSRS multiway mergesort** (the GNU/MCSTL
 //!   shape): sorted chunks, regular sampling for splitters, bucket
@@ -15,13 +21,14 @@
 //!   GNU's sort scaling far better than the others (speedups 25–67 vs
 //!   6–11 in its Table 5).
 //!
-//! Both sort their leaves (and everything below the parallel threshold)
-//! with the sequential kernels of [`crate::seq`]: the branch-free
-//! pattern-defeating introsort for unstable sorts, the bottom-up
-//! mergesort for stable ones. Like every backend in the paper, the
-//! parallel speed-up is measured against that leaf.
+//! All three sort their leaves (and everything below the parallel
+//! threshold) with the sequential kernels of [`crate::seq`]: the
+//! branch-free pattern-defeating introsort for unstable sorts, the
+//! bottom-up mergesort for stable ones. Like every backend in the paper,
+//! the parallel speed-up is measured against that leaf.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::algorithms::scratch_clone;
 use crate::chunk::chunk_range;
@@ -29,8 +36,8 @@ use crate::policy::{ExecutionPolicy, Plan};
 use crate::ptr::SliceView;
 use crate::seq;
 
-/// Unstable parallel sort by `Ord` (binary mergesort with introsort
-/// leaves).
+/// Unstable parallel sort by `Ord` (in-place parallel quicksort with
+/// introsort leaves).
 /// # Examples
 /// ```
 /// use pstl::ExecutionPolicy;
@@ -43,7 +50,7 @@ use crate::seq;
 /// ```
 pub fn sort<T>(policy: &ExecutionPolicy, data: &mut [T])
 where
-    T: Ord + Clone + Send + Sync,
+    T: Ord + Send + Sync,
 {
     sort_by(policy, data, |a, b| a.cmp(b));
 }
@@ -51,10 +58,120 @@ where
 /// Unstable parallel sort by comparator.
 pub fn sort_by<T, C>(policy: &ExecutionPolicy, data: &mut [T], cmp: C)
 where
-    T: Clone + Send + Sync,
+    T: Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
 {
-    mergesort_driver(policy, data, &cmp, false);
+    quicksort(policy, data, &cmp);
+}
+
+/// A range of the input the quicksort has still to sort, and its
+/// ancestor: the index of the pivot whose right side the range is, if
+/// any. That pivot is a lower bound of every element in the range. It
+/// lies outside every later segment and is never written again, so
+/// tasks can share it.
+struct Segment {
+    range: Range<usize>,
+    ancestor: Option<usize>,
+}
+
+impl Segment {
+    /// The segment's elements and its ancestor pivot.
+    ///
+    /// # Safety
+    /// No other task may access `self.range` while the slice is live, and
+    /// nothing may write the ancestor (both hold for the segments of one
+    /// quicksort level).
+    unsafe fn parts<'a, T>(&self, view: &SliceView<'a, T>) -> (&'a mut [T], Option<&'a T>) {
+        let ancestor = self.ancestor.map(|p| &view.range(p..p + 1)[0]);
+        (view.range_mut(self.range.clone()), ancestor)
+    }
+}
+
+/// The in-place parallel quicksort behind [`sort_by`]. Returns the
+/// number of split levels it ran.
+///
+/// *Split phase:* one level at a time, one pool task per segment
+/// partitions every segment of at least `min_split` elements with
+/// [`seq::partition`], the introsort's own pivot choice, branch-free
+/// partition and ancestor-pivot rule. The first level is one serial
+/// partition of the whole input. The phase ends once there are `tasks`
+/// segments or none is long enough, and after at most
+/// `2·log2(tasks) + 2` levels, so adversarial pivots cannot prolong it.
+/// *Leaf phase:* one pool task sorts each segment with the introsort;
+/// work stealing evens out segments of unequal size.
+fn quicksort<T, C>(policy: &ExecutionPolicy, data: &mut [T], cmp: &C) -> usize
+where
+    T: Send + Sync,
+    C: Fn(&T, &T) -> Ordering + Sync,
+{
+    let n = data.len();
+    if n < 2 {
+        return 0;
+    }
+    let (exec, tasks, grain) = match policy.plan(n) {
+        Plan::Sequential => {
+            seq::introsort(data, cmp);
+            return 0;
+        }
+        Plan::Parallel {
+            exec, tasks, cfg, ..
+        } => (exec, tasks, cfg.grain),
+    };
+    // `seq::partition` needs at least three elements.
+    let min_split = (2 * grain).max(n / (4 * tasks)).max(3);
+    let max_levels = 2 * tasks.ilog2() as usize + 2;
+    let view = SliceView::new(data);
+    let view = &view;
+    let mut segments = vec![Segment {
+        range: 0..n,
+        ancestor: None,
+    }];
+    let mut levels = 0;
+    while segments.len() < tasks && levels < max_levels {
+        let (split, mut next): (Vec<_>, Vec<_>) = segments
+            .into_iter()
+            .partition(|s| s.range.len() >= min_split);
+        if split.is_empty() {
+            segments = next;
+            break;
+        }
+        let mut cuts = vec![(0, false); split.len()];
+        {
+            let cuts = SliceView::new(&mut cuts);
+            let (split, cuts) = (&split, &cuts);
+            exec.run(split.len(), &|i| {
+                // SAFETY: the segments of a level are pairwise disjoint
+                // and hold no ancestor; task `i` alone writes `cuts[i]`.
+                let (part, ancestor) = unsafe { split[i].parts(view) };
+                unsafe { cuts.write(i, seq::partition(part, ancestor, cmp)) };
+            });
+        }
+        for (seg, (mid, equal)) in split.into_iter().zip(cuts) {
+            let pivot = seg.range.start + mid;
+            // When `equal`, the left side holds copies of the pivot:
+            // already in place.
+            if !equal {
+                next.push(Segment {
+                    range: seg.range.start..pivot,
+                    ancestor: seg.ancestor,
+                });
+            }
+            next.push(Segment {
+                range: pivot + 1..seg.range.end,
+                ancestor: Some(pivot),
+            });
+        }
+        next.retain(|s| s.range.len() > 1);
+        segments = next;
+        levels += 1;
+    }
+    let segments = &segments;
+    exec.run(segments.len(), &|i| {
+        // SAFETY: as in the split phase.
+        let (part, ancestor) = unsafe { segments[i].parts(view) };
+        seq::introsort_after(part, ancestor, cmp);
+    });
+    levels
 }
 
 /// Stable parallel sort by `Ord`.
@@ -71,12 +188,13 @@ where
     T: Clone + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
 {
-    mergesort_driver(policy, data, &cmp, true);
+    mergesort_driver(policy, data, &cmp);
 }
 
-/// The shared parallel-mergesort skeleton: [`leaf_sort`] sorts each
-/// chunk in place (stable or not), `cmp` drives the merge passes.
-fn mergesort_driver<T, C>(policy: &ExecutionPolicy, data: &mut [T], cmp: &C, stable: bool)
+/// The binary parallel mergesort behind [`stable_sort_by`]: each chunk
+/// is sorted in place by the stable sequential mergesort, `cmp` drives
+/// the merge passes.
+fn mergesort_driver<T, C>(policy: &ExecutionPolicy, data: &mut [T], cmp: &C)
 where
     T: Clone + Send + Sync,
     C: Fn(&T, &T) -> Ordering + Sync,
@@ -86,7 +204,7 @@ where
         return;
     }
     match policy.plan(n) {
-        Plan::Sequential => leaf_sort(data, cmp, stable),
+        Plan::Sequential => seq::mergesort_stable(data, &mut Vec::new(), cmp),
         Plan::Parallel { exec, tasks, .. } => {
             let tasks = tasks.min(n).max(1);
             if tasks == 1 {
@@ -96,7 +214,7 @@ where
                 let view = &view;
                 exec.run(1, &|_| {
                     // SAFETY: single task owns the whole range.
-                    leaf_sort(unsafe { view.range_mut(0..n) }, cmp, stable);
+                    seq::mergesort_stable(unsafe { view.range_mut(0..n) }, &mut Vec::new(), cmp);
                 });
                 return;
             }
@@ -113,7 +231,7 @@ where
                 exec.run(tasks, &|t| {
                     // SAFETY: leaf ranges are disjoint.
                     let chunk = unsafe { view.range_mut(bounds[t]..bounds[t + 1]) };
-                    leaf_sort(chunk, cmp, stable);
+                    seq::mergesort_stable(chunk, &mut Vec::new(), cmp);
                 });
             }
 
@@ -144,22 +262,9 @@ where
     }
 }
 
-fn leaf_sort<T, C>(chunk: &mut [T], cmp: &C, stable: bool)
-where
-    T: Clone,
-    C: Fn(&T, &T) -> Ordering + Sync,
-{
-    if stable {
-        let mut scratch = Vec::new();
-        seq::mergesort_stable(chunk, &mut scratch, cmp);
-    } else {
-        seq::introsort(chunk, cmp);
-    }
-}
-
 /// One segment of a merge pass: merge `a` and `b` (ranges in the source
 /// buffer) into `out` (range in the destination buffer).
-struct Segment {
+struct MergeSegment {
     a: std::ops::Range<usize>,
     b: std::ops::Range<usize>,
     out: std::ops::Range<usize>,
@@ -185,7 +290,7 @@ where
     let tail = runs % 2 == 1;
 
     // Build the segment list sequentially (cheap: O(tasks · log n)).
-    let mut segments: Vec<Segment> = Vec::with_capacity(tasks + pairs + 1);
+    let mut segments: Vec<MergeSegment> = Vec::with_capacity(tasks + pairs + 1);
     let mut new_bounds = Vec::with_capacity(pairs + 2);
     new_bounds.push(bounds[0]);
     for p in 0..pairs {
@@ -206,7 +311,7 @@ where
             } else {
                 super::merge::co_rank(a, b, k, cmp)
             };
-            segments.push(Segment {
+            segments.push(MergeSegment {
                 a: a_r.start + prev.0..a_r.start + cut.0,
                 b: b_r.start + prev.1..b_r.start + cut.1,
                 out: out0 + prev.0 + prev.1..out0 + cut.0 + cut.1,
@@ -218,7 +323,7 @@ where
         // Odd run: carry it into the destination buffer unchanged.
         let r = bounds[runs - 1]..bounds[runs];
         new_bounds.push(r.end);
-        segments.push(Segment {
+        segments.push(MergeSegment {
             a: r.clone(),
             b: r.end..r.end,
             out: r,
@@ -456,7 +561,7 @@ where
 /// parallel sort of the prefix.
 pub fn partial_sort<T>(policy: &ExecutionPolicy, data: &mut [T], mid: usize)
 where
-    T: Ord + Clone + Send + Sync,
+    T: Ord + Send + Sync,
 {
     assert!(mid <= data.len(), "partial_sort: mid out of range");
     if mid == 0 {
@@ -614,11 +719,167 @@ mod tests {
     }
 }
 
+/// The sequential introsort's properties, checked on the parallel
+/// quicksort on every pool, with sizes and grains at which its split
+/// phase runs at least three levels.
+#[cfg(test)]
+mod quicksort_tests {
+    use super::*;
+    use crate::policy::ParConfig;
+    use crate::seq::tests::{assert_permutation, patterns, strings};
+    use pstl_executor::{build_pool, Discipline};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+
+    fn pools(grain: usize) -> Vec<(Discipline, ExecutionPolicy)> {
+        Discipline::POOLS
+            .into_iter()
+            .map(|d| {
+                let cfg = ParConfig::with_grain(grain);
+                (d, ExecutionPolicy::par_with(build_pool(d, 2), cfg))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn quicksort_stays_within_comparison_budget() {
+        let n = 1usize << 14;
+        let log2n = n.trailing_zeros() as usize;
+        for (d, policy) in pools(256) {
+            for (name, mut v) in patterns(n) {
+                let mut expect = v.clone();
+                expect.sort_unstable();
+                let calls = AtomicUsize::new(0);
+                let levels = quicksort(&policy, &mut v, &|a: &u64, b: &u64| {
+                    calls.fetch_add(1, AtomicOrdering::Relaxed);
+                    a.cmp(b)
+                });
+                assert_eq!(v, expect, "{d:?} {name}");
+                let calls = calls.into_inner();
+                // Equal keys must cost linear time (the ancestor-pivot
+                // rule); they leave nothing to split after two levels.
+                let budget = if name == "all_equal" {
+                    3 * n
+                } else {
+                    assert!(levels >= 3, "{d:?} {name}: {levels} split levels");
+                    3 * n * log2n
+                };
+                assert!(
+                    calls <= budget,
+                    "{d:?} {name}: {calls} comparisons, budget {budget}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quicksort_leaves_a_permutation_when_the_comparator_panics() {
+        let input = strings(2000);
+        for (d, policy) in pools(32) {
+            let total = AtomicUsize::new(0);
+            let levels = quicksort(&policy, &mut input.clone(), &|a: &String, b: &String| {
+                total.fetch_add(1, AtomicOrdering::Relaxed);
+                a.cmp(b)
+            });
+            assert!(levels >= 3, "{d:?}: {levels} split levels");
+            let total = total.into_inner();
+            for k in (0..total).step_by(total / 64 + 1) {
+                let mut v = input.clone();
+                let calls = AtomicUsize::new(0);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    sort_by(&policy, &mut v, |a: &String, b: &String| {
+                        let call = calls.fetch_add(1, AtomicOrdering::Relaxed);
+                        assert!(call != k, "comparator panics at call {k}");
+                        a.cmp(b)
+                    })
+                }));
+                assert!(
+                    result.is_err(),
+                    "{d:?} k={k}: the comparator never panicked"
+                );
+                assert_permutation(&v, &input, &format!("{d:?} panic at call {k}"));
+                // The same pool then sorts cleanly.
+                sort(&policy, &mut v);
+                let mut expect = input.clone();
+                expect.sort_unstable();
+                assert_eq!(v, expect, "{d:?} k={k}: re-sort after the panic");
+            }
+        }
+    }
+
+    #[test]
+    fn quicksort_with_an_inconsistent_comparator_terminates_with_a_permutation() {
+        let n = 3000;
+        let input = strings(n);
+        for (d, policy) in pools(32) {
+            for seed in 1..=16u64 {
+                // A counter-based hash: a fresh, arbitrary ordering on
+                // every call, from whichever thread makes it.
+                let state = AtomicU64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let random = |_: &String, _: &String| {
+                    let x = state.fetch_add(0x9E37_79B9_7F4A_7C15, AtomicOrdering::Relaxed);
+                    let x = (x ^ (x >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    [Ordering::Less, Ordering::Equal, Ordering::Greater][((x >> 32) % 3) as usize]
+                };
+                let mut v = input.clone();
+                let levels = quicksort(&policy, &mut v, &random);
+                assert!(levels >= 3, "{d:?} seed={seed}: {levels} split levels");
+                assert_permutation(&v, &input, &format!("{d:?} seed={seed}"));
+            }
+        }
+    }
+
+    /// Orders like its key; deliberately not `Clone`.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct NoClone(u64);
+
+    #[test]
+    fn unstable_sorts_need_no_clone() {
+        let n = 20_000;
+        let keys = |v: &[NoClone]| v.iter().map(|x| x.0).collect::<Vec<_>>();
+        let scrambled = || {
+            (0..n)
+                .map(|i| NoClone(i * 48271 % 9973))
+                .collect::<Vec<_>>()
+        };
+        let mut expect = keys(&scrambled());
+        expect.sort_unstable();
+        for (d, policy) in pools(256) {
+            let mut v = scrambled();
+            assert!(quicksort(&policy, &mut v, &|a: &NoClone, b: &NoClone| a.cmp(b)) >= 3);
+            assert_eq!(keys(&v), expect, "{d:?} sort");
+            let mut v = scrambled();
+            sort_by_key(&policy, &mut v, |x| std::cmp::Reverse(x.0));
+            assert!(keys(&v).iter().rev().eq(expect.iter()), "{d:?} sort_by_key");
+            let mut v = scrambled();
+            partial_sort(&policy, &mut v, 100);
+            assert_eq!(keys(&v[..100]), expect[..100], "{d:?} partial_sort");
+        }
+    }
+
+    /// Small enough for miri: several split levels on two threads, so
+    /// the disjoint-segment accesses and the shared ancestor are checked.
+    #[test]
+    fn miri_sized_sort_splits_several_levels() {
+        let n = 1500u64;
+        let policy = ExecutionPolicy::par_with(
+            build_pool(Discipline::WorkStealing, 2),
+            ParConfig::with_grain(64),
+        );
+        let mut v: Vec<u64> = (0..n).map(|i| i * 48271 % 1499).collect();
+        let mut expect = v.clone();
+        expect.sort_unstable();
+        let levels = quicksort(&policy, &mut v, &|a: &u64, b: &u64| a.cmp(b));
+        assert!(levels >= 3, "{levels} split levels");
+        assert_eq!(v, expect);
+    }
+}
+
 /// Unstable parallel sort by a key-extraction function
 /// (`sort_by_key`-style convenience over [`sort_by`]).
 pub fn sort_by_key<T, K, F>(policy: &ExecutionPolicy, data: &mut [T], key: F)
 where
-    T: Clone + Send + Sync,
+    T: Send + Sync,
     K: Ord,
     F: Fn(&T) -> K + Sync,
 {

@@ -1,11 +1,11 @@
 //! Sequential kernels the parallel algorithms are built from.
 //!
 //! The parallel sorts of the C++ backends bottom out in a sequential sort
-//! (TBB: introsort leaves; GNU: sequential sort of each chunk before the
-//! multiway merge). To keep the whole substrate self-contained these
-//! kernels are implemented here from scratch: an introsort, a stable
-//! bottom-up mergesort, a sequential two-way merge, binary searches, and
-//! a quickselect.
+//! (TBB/NVC: a parallel quicksort over introsort leaves; GNU: sequential
+//! sort of each chunk before the multiway merge). To keep the whole
+//! substrate self-contained these kernels are implemented here from
+//! scratch: an introsort, a stable bottom-up mergesort, a sequential
+//! two-way merge, binary searches, and a quickselect.
 //!
 //! The introsort is a pattern-defeating quicksort in safe code, after
 //! BlockQuicksort (Edelkamp & Weiß, arXiv:1604.06697) and pdqsort
@@ -13,7 +13,9 @@
 //! median-of-three or ninther pivot, the ancestor-pivot rule that keeps
 //! inputs with few distinct keys linear, a heapsort fallback past
 //! `2·log2 n` levels and insertion sort for small partitions. The
-//! quickselect shares its pivot and partition.
+//! quickselect shares its pivot and partition, and so does the split
+//! phase of the parallel [`crate::sort`], whose leaves are this
+//! introsort.
 //!
 //! Every comparison kernel is generic over its comparator
 //! (`cmp: &C` with `C: Fn(&T, &T) -> Ordering + ?Sized`), so a closure is
@@ -96,8 +98,19 @@ pub fn introsort<T, C>(data: &mut [T], cmp: &C)
 where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
+    introsort_after(data, None, cmp);
+}
+
+/// [`introsort`] of a partition whose elements are all at least
+/// `ancestor`: the pivot whose right side `data` is, if any. The
+/// parallel sort's leaves pass the ancestor left by its split phase, so
+/// equal keys stay linear across the split.
+pub(crate) fn introsort_after<'a, T, C>(data: &'a mut [T], ancestor: Option<&'a T>, cmp: &C)
+where
+    C: Fn(&T, &T) -> Ordering + ?Sized,
+{
     let depth_limit = 2 * (usize::BITS - data.len().leading_zeros()) as usize;
-    introsort_rec(data, None, cmp, depth_limit);
+    introsort_rec(data, ancestor, cmp, depth_limit);
 }
 
 /// `ancestor` is a lower bound on every element of `data`: the pivot
@@ -141,7 +154,7 @@ fn introsort_rec<'a, T, C>(
 /// bound of `data` and the pivot is not greater than it, the pivot
 /// equals it and so does every element `<=` it: then `equal` is true and
 /// `data[..mid]` are all copies of the pivot.
-fn partition<T, C>(data: &mut [T], ancestor: Option<&T>, cmp: &C) -> (usize, bool)
+pub(crate) fn partition<T, C>(data: &mut [T], ancestor: Option<&T>, cmp: &C) -> (usize, bool)
 where
     C: Fn(&T, &T) -> Ordering + ?Sized,
 {
@@ -379,7 +392,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub mod tests {
     use super::*;
     use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -652,7 +665,7 @@ mod tests {
     }
 
     /// Inputs that defeat naive pivots, partitions or duplicate handling.
-    fn patterns(n: usize) -> Vec<(&'static str, Vec<u64>)> {
+    pub(crate) fn patterns(n: usize) -> Vec<(&'static str, Vec<u64>)> {
         let n64 = n as u64;
         vec![
             ("sorted", (0..n64).collect()),
@@ -692,14 +705,14 @@ mod tests {
         }
     }
 
-    fn strings(n: usize) -> Vec<String> {
+    pub(crate) fn strings(n: usize) -> Vec<String> {
         scrambled(n)
             .iter()
             .map(|x| format!("{:x}", x % 1000))
             .collect()
     }
 
-    fn assert_permutation(got: &[String], input: &[String], what: &str) {
+    pub(crate) fn assert_permutation(got: &[String], input: &[String], what: &str) {
         let (mut got, mut input) = (got.to_vec(), input.to_vec());
         got.sort();
         input.sort();
