@@ -10,7 +10,11 @@
 //!   on a matchless predicate (the worst case: every index evaluated),
 //! * `scan` — the phase-1 range fold both scan engines share,
 //! * `sort` — the comparison leaf every sort bottoms out in
-//!   (`seq::introsort`) vs. `slice::sort_unstable` on 2^16 random u64.
+//!   (`seq::introsort`) vs. `slice::sort_unstable` on 2^16 random u64,
+//! * `digest` — the `jobs`/`ext_stream` farm body (a `fold_map` over 64
+//!   `u32`, each mixed with the record's key) through the baseline-only
+//!   `fold_map_scalar` vs. the dispatched `fold_map`, which runs the
+//!   clone for this CPU's `kernel::isa::level()`.
 //!
 //! The emitted JSON carries three things: raw ns-per-element numbers
 //! (machine-dependent, ignored by the perf gate), `speedup` ratios
@@ -20,14 +24,18 @@
 //! with these measured ones.
 //!
 //! With `--check`, exits non-zero unless the acceptance gates hold:
-//! wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7) and the sort
-//! leaf ≤ 1.5× the time of `slice::sort_unstable`.
+//! wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7), the sort
+//! leaf ≤ 1.5× the time of `slice::sort_unstable`, and, on a host at
+//! `x86-64-v3` or above, the dispatched digest ≥ 1.5× the baseline one
+//! (`n/a` on a baseline-only host).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use pstl::kernel;
+use pstl::kernel::isa::{self, Level};
 use pstl_sim::{Backend, CpuSim, Kernel, KernelCalibration, RunParams};
+use pstl_suite::experiments::stream::{self, mix, Record};
 use pstl_suite::results_dir;
 use serde::Serialize;
 
@@ -37,6 +45,9 @@ const GATE_WIDE_SPEEDUP: f64 = 1.0 / 0.7;
 /// The sort leaf may take at most 1.5× the time of `slice::sort_unstable`
 /// (time ratio ≤ 1.5 ⇒ speedup ≥ 1/1.5).
 const GATE_SORT_LEAF: f64 = 1.0 / 1.5;
+/// On a host at `x86-64-v3` or above, the dispatched digest must be at
+/// least this much faster than the baseline-compiled one.
+const GATE_ISA_DIGEST: f64 = 1.5;
 /// Sort-leaf row size: about one leaf segment of the `bulk` workload's
 /// quicksort (2^20 elements over 16 tasks).
 const SORT_LEAF_N: usize = 1 << 16;
@@ -119,6 +130,17 @@ fn time_sort_leaf(reps: usize) -> (f64, f64) {
         }
     }
     (best[0], best[1])
+}
+
+/// The digest with the same closures as [`stream::digest`], through the
+/// baseline-compiled oracle instead of the dispatched entry point.
+fn digest_baseline(r: &Record) -> u64 {
+    kernel::reduce::fold_map_scalar(
+        &r.payload,
+        &|x: &u32| mix(u64::from(*x) ^ r.key),
+        &|a: u64, b: u64| a.wrapping_add(b),
+    )
+    .unwrap_or(0)
 }
 
 fn main() {
@@ -207,6 +229,27 @@ fn main() {
     // --- sort: the comparison leaf vs. std's unstable sort -------------
     let (sort_std, sort_leaf) = time_sort_leaf(reps);
 
+    // --- digest: the `ext_stream` probe tile, baseline vs. dispatched.
+    // A tile takes about 0.1 ms, so the row affords 9× the reps. --------
+    let records = stream::probe_records();
+    let words = records.len() * records[0].payload.len();
+    let digest_all = |f: fn(&Record) -> u64| {
+        records
+            .iter()
+            .fold(0u64, |acc, r| acc.wrapping_add(f(black_box(r))))
+    };
+    assert_eq!(
+        digest_all(digest_baseline),
+        digest_all(stream::digest),
+        "the dispatched digest disagrees with the baseline one"
+    );
+    let digest_base = time_ns_per_elem(words, 9 * reps, || {
+        black_box(digest_all(digest_baseline));
+    });
+    let digest_isa = time_ns_per_elem(words, 9 * reps, || {
+        black_box(digest_all(stream::digest));
+    });
+
     let calibration = KernelCalibration {
         reduce_scalar_ns: reduce_scalar,
         reduce_wide_ns: reduce_wide,
@@ -269,15 +312,24 @@ fn main() {
             wide_ns_per_elem: sort_leaf,
             speedup: sort_std / sort_leaf,
         },
+        KernelRow {
+            name: "digest_u32x64",
+            scalar_path: "fold_map_scalar",
+            wide_path: "fold_map",
+            scalar_ns_per_elem: digest_base,
+            wide_ns_per_elem: digest_isa,
+            speedup: digest_base / digest_isa,
+        },
     ];
 
     println!(
-        "kernel calibration (n = {n}, best of {reps}, simd default dispatch: {})",
+        "kernel calibration (n = {n}, best of {reps}, simd default dispatch: {}, kernel isa: {})",
         if kernel::WIDE_DEFAULT {
             "wide"
         } else {
             "scalar"
-        }
+        },
+        isa::level()
     );
     println!(
         "  {:<16} {:>12} {:>12} {:>9}",
@@ -312,6 +364,7 @@ fn main() {
             ("n".into(), n.to_string()),
             ("reps".into(), reps.to_string()),
             ("simd_default_wide".into(), kernel::WIDE_DEFAULT.to_string()),
+            ("kernel_isa".into(), isa::level().to_string()),
         ],
         kernels: rows,
         calibration,
@@ -355,6 +408,15 @@ fn main() {
             sort_std / sort_leaf,
             GATE_SORT_LEAF,
         );
+        if isa::level() >= Level::V3 {
+            gate(
+                "digest dispatched>=1.5x baseline",
+                digest_base / digest_isa,
+                GATE_ISA_DIGEST,
+            );
+        } else {
+            println!("  gate digest dispatched>=1.5x baseline: n/a (baseline-only host)");
+        }
         if failed {
             std::process::exit(1);
         }

@@ -198,7 +198,8 @@ fn main() {
     if let Some(path) = opts.json {
         let mut report = Report::new("pstl_bench_real_mode")
             .context("threads", opts.threads.to_string())
-            .context("host_cores", num_threads_hint());
+            .context("host_cores", num_threads_hint())
+            .context("kernel_isa", pstl::kernel::isa::level().to_string());
         for m in all {
             report.push(m);
         }

@@ -142,7 +142,8 @@ pub fn build_with(config: BenchConfig) -> Report {
         .context("n", N.to_string())
         .context("grain", GRAIN.to_string())
         .context("skew", SKEW.to_string())
-        .context("trace", pstl_trace::enabled().to_string());
+        .context("trace", pstl_trace::enabled().to_string())
+        .context("kernel_isa", pstl::kernel::isa::level().to_string());
     for &(pool_label, discipline, workload, partitioner, skewed) in &POINTS {
         report.push(measure_point(
             pool_label,

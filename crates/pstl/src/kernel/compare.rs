@@ -20,19 +20,21 @@
 
 use std::ops::Range;
 
+use super::isa::dispatch;
 use super::{FIND_BLOCK, WIDE_DEFAULT};
 
-/// Smallest `i` in `range` with `pred_at(i)`. Dispatches on
-/// [`WIDE_DEFAULT`].
-#[inline]
-pub fn find_first_in<F>(range: Range<usize>, pred_at: &F) -> Option<usize>
-where
-    F: Fn(usize) -> bool + ?Sized,
-{
-    if WIDE_DEFAULT {
-        find_first_in_wide(range, pred_at)
-    } else {
-        find_first_in_scalar(range, pred_at)
+dispatch! {
+    /// Smallest `i` in `range` with `pred_at(i)`. Dispatches on
+    /// [`WIDE_DEFAULT`] and the CPU's [`isa::level`](super::isa::level).
+    pub fn find_first_in[F: Fn(usize) -> bool + ?Sized](
+        range: Range<usize>,
+        pred_at: &F,
+    ) -> Option<usize>, at find_first_in_at {
+        if WIDE_DEFAULT {
+            find_first_in_wide(range, pred_at)
+        } else {
+            find_first_in_scalar(range, pred_at)
+        }
     }
 }
 
@@ -49,6 +51,7 @@ where
 /// Wide masked scan: branch-free [`FIND_BLOCK`]-lane blocks, first match
 /// located by `trailing_zeros`. Partial tail blocks fall back to the
 /// short-circuit loop.
+#[inline]
 pub fn find_first_in_wide<F>(range: Range<usize>, pred_at: &F) -> Option<usize>
 where
     F: Fn(usize) -> bool + ?Sized,
@@ -67,19 +70,22 @@ where
     (i..range.end).find(|&j| pred_at(j))
 }
 
-/// Largest `i` in `range` with `pred_at(i)` — the reverse-scan sibling
-/// used by `find_end`. Wide path: blocks scanned back-to-front, last
-/// set lane located via `leading_zeros`. Same bounded over-evaluation
-/// contract as [`find_first_in`], mirrored.
-#[inline]
-pub fn find_last_in<F>(range: Range<usize>, pred_at: &F) -> Option<usize>
-where
-    F: Fn(usize) -> bool + ?Sized,
-{
-    if WIDE_DEFAULT {
-        find_last_in_wide(range, pred_at)
-    } else {
-        find_last_in_scalar(range, pred_at)
+dispatch! {
+    /// Largest `i` in `range` with `pred_at(i)` — the reverse-scan
+    /// sibling used by `find_end`. Wide path: blocks scanned
+    /// back-to-front, last set lane located via `leading_zeros`. Same
+    /// bounded over-evaluation contract as [`find_first_in`], mirrored.
+    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn find_last_in[F: Fn(usize) -> bool + ?Sized](
+        range: Range<usize>,
+        pred_at: &F,
+    ) -> Option<usize>, at find_last_in_at {
+        if WIDE_DEFAULT {
+            find_last_in_wide(range, pred_at)
+        } else {
+            find_last_in_scalar(range, pred_at)
+        }
     }
 }
 
@@ -93,6 +99,7 @@ where
 }
 
 /// Wide masked reverse scan.
+#[inline]
 pub fn find_last_in_wide<F>(range: Range<usize>, pred_at: &F) -> Option<usize>
 where
     F: Fn(usize) -> bool + ?Sized,

@@ -11,7 +11,7 @@
 //! compiler still autovectorizes, and that break loop-carried dependency
 //! chains even when it does not.
 //!
-//! # Two paths, one dispatch switch
+//! # Two paths × three ISA levels
 //!
 //! Every kernel has two implementations, **both always compiled**:
 //!
@@ -27,11 +27,28 @@
 //!   blocks, no early exits inside a block, data-independent control
 //!   flow) that LLVM turns into vector code where profitable.
 //!
-//! The public entry points (`fold_map`, `find_first_in`, `count`, …)
-//! pick a path via [`WIDE_DEFAULT`], i.e. the `simd` cargo feature.
-//! Having both paths in one build is what lets `kernel_calibrate`
-//! measure the real speedup in a single binary and lets the
-//! differential suite compare them directly.
+//! The public entry points (`fold_map`, `find_first_in`,
+//! `count_matches`, …) pick a path via [`WIDE_DEFAULT`], i.e. the `simd`
+//! cargo feature. Having both paths in one build is what lets
+//! `kernel_calibrate` measure the real speedup in a single binary and
+//! lets the differential suite compare them directly.
+//!
+//! Each entry point is then compiled three times by `isa::dispatch!`:
+//! for the crate's baseline target (SSE2), for `x86-64-v3` (AVX2) and
+//! for `x86-64-v4` (AVX-512), with the caller's closures inlined into
+//! each clone. The entry point runs the clone for the CPU's
+//! [`isa::level`], detected once per process, so the user's functor is
+//! vectorized at the host's width as a C++ template kernel built with
+//! `-march=native` is. The `*_scalar` and `*_wide` functions stay
+//! baseline-compiled oracles. Every clone returns bit-identical results
+//! (`isa`'s differential tests). The clones do not change which path
+//! is picked, and that matters: the wide fold's hand-unrolled tree does
+//! not vectorize under AVX-512, while the scalar loop does (on a
+//! 2.1 GHz AVX-512 Xeon, the `jobs` digest of one 64-word record took
+//! 128 ns through the wide tree and 44 ns through the scalar loop, both
+//! in a V4 clone). On that host the dispatched digest runs 2.2–3.0×
+//! faster than the baseline one (`kernel_calibrate`'s `digest_u32x64`
+//! row).
 //!
 //! # Semantics contracts
 //!
@@ -55,6 +72,7 @@
 //!   entry point so the loop exists once.
 
 pub mod compare;
+pub mod isa;
 pub mod partition;
 pub mod reduce;
 pub mod scan;

@@ -19,20 +19,21 @@
 //! entirely safe; the unsafe `SliceView::write` stays at the call site
 //! in the algorithm layer where the disjointness argument lives.
 
+use super::isa::dispatch;
 use super::{COMPACT_BLOCK, WIDE_DEFAULT};
 
-/// Number of elements of `data` satisfying `pred` — the phase-1 kernel
-/// of every two-pass selection and the body of `count_if`. Dispatches
-/// on [`WIDE_DEFAULT`].
-#[inline]
-pub fn count_matches<T, P>(data: &[T], pred: &P) -> usize
-where
-    P: Fn(&T) -> bool + ?Sized,
-{
-    if WIDE_DEFAULT {
-        count_matches_wide(data, pred)
-    } else {
-        count_matches_scalar(data, pred)
+dispatch! {
+    /// Number of elements of `data` satisfying `pred` — the phase-1
+    /// kernel of every two-pass selection and the body of `count_if`.
+    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn count_matches[T, P: Fn(&T) -> bool + ?Sized](data: &[T], pred: &P) -> usize,
+    at count_matches_at {
+        if WIDE_DEFAULT {
+            count_matches_wide(data, pred)
+        } else {
+            count_matches_scalar(data, pred)
+        }
     }
 }
 
@@ -47,6 +48,7 @@ where
 
 /// Branchless four-accumulator count: `acc += pred as usize` with no
 /// data-dependent control flow.
+#[inline]
 pub fn count_matches_wide<T, P>(data: &[T], pred: &P) -> usize
 where
     P: Fn(&T) -> bool + ?Sized,
@@ -66,21 +68,23 @@ where
     (c0 + c1) + (c2 + c3) + rest
 }
 
-/// Emit `(dense_rank, &elem)` for every element of `data` satisfying
-/// `pred`, in order — the scatter kernel of `copy_if` and the
-/// true-side of `partition`. `emit` receives the 0-based rank *within
-/// the matches of this slice*; callers add their chunk offset.
-/// Dispatches on [`WIDE_DEFAULT`].
-#[inline]
-pub fn compact_each<T, P, E>(data: &[T], pred: &P, emit: &mut E)
-where
-    P: Fn(&T) -> bool + ?Sized,
-    E: FnMut(usize, &T) + ?Sized,
-{
-    if WIDE_DEFAULT {
-        compact_each_wide(data, pred, emit)
-    } else {
-        compact_each_scalar(data, pred, emit)
+dispatch! {
+    /// Emit `(dense_rank, &elem)` for every element of `data` satisfying
+    /// `pred`, in order — the scatter kernel of `copy_if` and the
+    /// true-side of `partition`. `emit` receives the 0-based rank
+    /// *within the matches of this slice*; callers add their chunk
+    /// offset. Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn compact_each[
+        T,
+        P: Fn(&T) -> bool + ?Sized,
+        E: FnMut(usize, &T) + ?Sized,
+    ](data: &[T], pred: &P, emit: &mut E), at compact_each_at {
+        if WIDE_DEFAULT {
+            compact_each_wide(data, pred, emit)
+        } else {
+            compact_each_scalar(data, pred, emit)
+        }
     }
 }
 
@@ -98,6 +102,7 @@ where
 
 /// Branch-free index compaction: per [`COMPACT_BLOCK`]-element block,
 /// collect matching indices without branching, then emit them.
+#[inline]
 pub fn compact_each_wide<T, P, E>(data: &[T], pred: &P, emit: &mut E)
 where
     P: Fn(&T) -> bool + ?Sized,
@@ -118,21 +123,23 @@ where
     }
 }
 
-/// Emit every element of `data` to `emit_true` or `emit_false` with its
-/// dense rank on that side, preserving relative order on both sides —
-/// the scatter kernel of `partition` / `partition_copy`. Dispatches on
-/// [`WIDE_DEFAULT`].
-#[inline]
-pub fn split_each<T, P, E, G>(data: &[T], pred: &P, emit_true: &mut E, emit_false: &mut G)
-where
-    P: Fn(&T) -> bool + ?Sized,
-    E: FnMut(usize, &T) + ?Sized,
-    G: FnMut(usize, &T) + ?Sized,
-{
-    if WIDE_DEFAULT {
-        split_each_wide(data, pred, emit_true, emit_false)
-    } else {
-        split_each_scalar(data, pred, emit_true, emit_false)
+dispatch! {
+    /// Emit every element of `data` to `emit_true` or `emit_false` with
+    /// its dense rank on that side, preserving relative order on both
+    /// sides — the scatter kernel of `partition` / `partition_copy`.
+    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn split_each[
+        T,
+        P: Fn(&T) -> bool + ?Sized,
+        E: FnMut(usize, &T) + ?Sized,
+        G: FnMut(usize, &T) + ?Sized,
+    ](data: &[T], pred: &P, emit_true: &mut E, emit_false: &mut G), at split_each_at {
+        if WIDE_DEFAULT {
+            split_each_wide(data, pred, emit_true, emit_false)
+        } else {
+            split_each_scalar(data, pred, emit_true, emit_false)
+        }
     }
 }
 
@@ -159,6 +166,7 @@ where
 /// Branch-free two-sided compaction: per block, build the true-index
 /// and false-index lists without branching, then emit each side in
 /// order.
+#[inline]
 pub fn split_each_wide<T, P, E, G>(data: &[T], pred: &P, emit_true: &mut E, emit_false: &mut G)
 where
     P: Fn(&T) -> bool + ?Sized,

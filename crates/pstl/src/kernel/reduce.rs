@@ -17,20 +17,23 @@
 
 use std::cmp::Ordering;
 
+use super::isa::dispatch;
 use super::{FOLD_LANES, WIDE_DEFAULT};
 
-/// Fold `f(x)` over `data` with `op` — the `transform_reduce` leaf.
-/// Returns `None` on empty input. Dispatches on [`WIDE_DEFAULT`].
-#[inline]
-pub fn fold_map<T, U>(
-    data: &[T],
-    f: &(impl Fn(&T) -> U + ?Sized),
-    op: &(impl Fn(U, U) -> U + ?Sized),
-) -> Option<U> {
-    if WIDE_DEFAULT {
-        fold_map_wide(data, f, op)
-    } else {
-        fold_map_scalar(data, f, op)
+dispatch! {
+    /// Fold `f(x)` over `data` with `op` — the `transform_reduce` leaf.
+    /// Returns `None` on empty input. Dispatches on [`WIDE_DEFAULT`] and
+    /// the CPU's [`isa::level`](super::isa::level).
+    pub fn fold_map[T, U](
+        data: &[T],
+        f: &(impl Fn(&T) -> U + ?Sized),
+        op: &(impl Fn(U, U) -> U + ?Sized),
+    ) -> Option<U>, at fold_map_at {
+        if WIDE_DEFAULT {
+            fold_map_wide(data, f, op)
+        } else {
+            fold_map_scalar(data, f, op)
+        }
     }
 }
 
@@ -48,6 +51,7 @@ pub fn fold_map_scalar<T, U>(
 
 /// Wide tree fold of `f(x)`: [`FOLD_LANES`]-operand reassociation trees
 /// per block, remainder folded serially.
+#[inline]
 pub fn fold_map_wide<T, U>(
     data: &[T],
     f: &(impl Fn(&T) -> U + ?Sized),
@@ -76,24 +80,25 @@ pub fn fold_map_wide<T, U>(
     acc
 }
 
-/// Fold `combine(&a[i], &b[i])` over two equal-length slices — the
-/// `transform_reduce_binary` (inner product) leaf. Dispatches on
-/// [`WIDE_DEFAULT`].
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn fold_zip<T, S, U>(
-    a: &[T],
-    b: &[S],
-    combine: &(impl Fn(&T, &S) -> U + ?Sized),
-    op: &(impl Fn(U, U) -> U + ?Sized),
-) -> Option<U> {
-    assert_eq!(a.len(), b.len(), "fold_zip: length mismatch");
-    if WIDE_DEFAULT {
-        fold_zip_wide(a, b, combine, op)
-    } else {
-        fold_zip_scalar(a, b, combine, op)
+dispatch! {
+    /// Fold `combine(&a[i], &b[i])` over two equal-length slices — the
+    /// `transform_reduce_binary` (inner product) leaf. Dispatches on
+    /// [`WIDE_DEFAULT`] and the CPU's [`isa::level`](super::isa::level).
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn fold_zip[T, S, U](
+        a: &[T],
+        b: &[S],
+        combine: &(impl Fn(&T, &S) -> U + ?Sized),
+        op: &(impl Fn(U, U) -> U + ?Sized),
+    ) -> Option<U>, at fold_zip_at {
+        assert_eq!(a.len(), b.len(), "fold_zip: length mismatch");
+        if WIDE_DEFAULT {
+            fold_zip_wide(a, b, combine, op)
+        } else {
+            fold_zip_scalar(a, b, combine, op)
+        }
     }
 }
 
@@ -117,6 +122,7 @@ pub fn fold_zip_scalar<T, S, U>(
 }
 
 /// Wide tree fold of `combine(&a[i], &b[i])`.
+#[inline]
 pub fn fold_zip_wide<T, S, U>(
     a: &[T],
     b: &[S],
@@ -149,14 +155,19 @@ pub fn fold_zip_wide<T, S, U>(
     acc
 }
 
-/// Index of the first minimum of `data` under `cmp` (C++ `min_element`
-/// tie rule: earliest wins). Dispatches on [`WIDE_DEFAULT`].
-#[inline]
-pub fn min_index<T>(data: &[T], cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized)) -> Option<usize> {
-    if WIDE_DEFAULT {
-        min_index_wide(data, cmp)
-    } else {
-        min_index_scalar(data, cmp)
+dispatch! {
+    /// Index of the first minimum of `data` under `cmp` (C++
+    /// `min_element` tie rule: earliest wins). Dispatches on
+    /// [`WIDE_DEFAULT`] and the CPU's [`isa::level`](super::isa::level).
+    pub fn min_index[T](
+        data: &[T],
+        cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
+    ) -> Option<usize>, at min_index_at {
+        if WIDE_DEFAULT {
+            min_index_wide(data, cmp)
+        } else {
+            min_index_scalar(data, cmp)
+        }
     }
 }
 
@@ -179,6 +190,7 @@ pub fn min_index_scalar<T>(
 /// Wide first-minimum: a [`FOLD_LANES`]-entry tournament per block. In
 /// every pick the earlier index is the left operand and wins ties, so
 /// the first-occurrence rule survives the tree exactly.
+#[inline]
 pub fn min_index_wide<T>(
     data: &[T],
     cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
@@ -216,18 +228,20 @@ pub fn min_index_wide<T>(
     best
 }
 
-/// Indices of the first minimum and the *last* maximum of `data` under
-/// `cmp` (C++ `minmax_element` tie rules), in one pass. Dispatches on
-/// [`WIDE_DEFAULT`].
-#[inline]
-pub fn minmax_index<T>(
-    data: &[T],
-    cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
-) -> Option<(usize, usize)> {
-    if WIDE_DEFAULT {
-        minmax_index_wide(data, cmp)
-    } else {
-        minmax_index_scalar(data, cmp)
+dispatch! {
+    /// Indices of the first minimum and the *last* maximum of `data`
+    /// under `cmp` (C++ `minmax_element` tie rules), in one pass.
+    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn minmax_index[T](
+        data: &[T],
+        cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
+    ) -> Option<(usize, usize)>, at minmax_index_at {
+        if WIDE_DEFAULT {
+            minmax_index_wide(data, cmp)
+        } else {
+            minmax_index_scalar(data, cmp)
+        }
     }
 }
 
@@ -263,6 +277,7 @@ pub fn minmax_index_scalar<T>(
 /// Wide one-pass minmax: parallel min and max tournaments per block,
 /// both tie rules preserved (earlier wins min ties, later wins max
 /// ties — every pick keeps the earlier index on the left).
+#[inline]
 pub fn minmax_index_wide<T>(
     data: &[T],
     cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),

@@ -13,21 +13,24 @@
 
 use std::ops::Range;
 
+use super::isa::dispatch;
 use super::{FOLD_LANES, WIDE_DEFAULT};
 
-/// Fold `get(i)` over `range` with `op` — the scan phase-1 chunk-total
-/// kernel (also usable as a standalone range fold). Dispatches on
-/// [`WIDE_DEFAULT`].
-#[inline]
-pub fn fold_range<U, G, F>(range: Range<usize>, get: &G, op: &F) -> Option<U>
-where
-    G: Fn(usize) -> U + ?Sized,
-    F: Fn(&U, &U) -> U + ?Sized,
-{
-    if WIDE_DEFAULT {
-        fold_range_wide(range, get, op)
-    } else {
-        fold_range_scalar(range, get, op)
+dispatch! {
+    /// Fold `get(i)` over `range` with `op` — the scan phase-1
+    /// chunk-total kernel (also usable as a standalone range fold).
+    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn fold_range[
+        U,
+        G: Fn(usize) -> U + ?Sized,
+        F: Fn(&U, &U) -> U + ?Sized,
+    ](range: Range<usize>, get: &G, op: &F) -> Option<U>, at fold_range_at {
+        if WIDE_DEFAULT {
+            fold_range_wide(range, get, op)
+        } else {
+            fold_range_scalar(range, get, op)
+        }
     }
 }
 
@@ -51,6 +54,7 @@ where
 
 /// Wide tree fold of `get(i)`: [`FOLD_LANES`]-operand reassociation
 /// trees per block, remainder folded serially.
+#[inline]
 pub fn fold_range_wide<U, G, F>(range: Range<usize>, get: &G, op: &F) -> Option<U>
 where
     G: Fn(usize) -> U + ?Sized,
@@ -81,19 +85,18 @@ where
     acc
 }
 
-/// Fold a slice by reference — the in-place scan's phase-1 kernel (no
-/// per-element clones; at most one clone on tiny inputs). Dispatches on
-/// [`WIDE_DEFAULT`].
-#[inline]
-pub fn fold_slice<T, F>(data: &[T], op: &F) -> Option<T>
-where
-    T: Clone,
-    F: Fn(&T, &T) -> T + ?Sized,
-{
-    if WIDE_DEFAULT {
-        fold_slice_wide(data, op)
-    } else {
-        fold_slice_scalar(data, op)
+dispatch! {
+    /// Fold a slice by reference — the in-place scan's phase-1 kernel
+    /// (no per-element clones; at most one clone on tiny inputs).
+    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// [`isa::level`](super::isa::level).
+    pub fn fold_slice[T: Clone, F: Fn(&T, &T) -> T + ?Sized](data: &[T], op: &F) -> Option<T>,
+    at fold_slice_at {
+        if WIDE_DEFAULT {
+            fold_slice_wide(data, op)
+        } else {
+            fold_slice_scalar(data, op)
+        }
     }
 }
 
@@ -115,6 +118,7 @@ where
 }
 
 /// Wide by-reference tree fold.
+#[inline]
 pub fn fold_slice_wide<T, F>(data: &[T], op: &F) -> Option<T>
 where
     T: Clone,

@@ -2,7 +2,8 @@
 //!
 //! A built pipeline is a linear chain of *node replicas* (one source,
 //! one per plain stage, `R` per farm, one implicit reorder node behind
-//! an ordered farm, one sink) connected by bounded [`Edge`]s.
+//! an ordered farm, one sink) connected by bounded [`Edge`]s, minus
+//! what fusion (below) folds away.
 //! Execution maps the replicas onto an existing [`Executor`] without
 //! any new worker machinery: `run(M, driver)` is called once with
 //! `M = min(threads, replicas)` *driver* bodies, and each driver loops
@@ -18,6 +19,20 @@
 //! node holds at most one batch (popped, in hand, or mapped and
 //! waiting to be pushed), except the reorder node, which buffers early
 //! batches.
+//!
+//! *Fusion.* When the pool has fewer threads than the pipeline has
+//! nodes, some driver steps several nodes in turn anyway, so a farm of
+//! two or more replicas takes over its neighbors' work and saves their
+//! hops: its replicas pull batches straight from the source iterator
+//! (no source node, no edge in front of the farm), and the replicas of
+//! an unordered farm right before the sink call the sink themselves,
+//! item by item right after the map, whenever they can claim it (first
+//! consuming whatever is queued on the edge). The source iterator and
+//! the sink closure still run on one thread at a time: each lives in a
+//! core behind a lock, held by whoever pulls or consumes. With a thread
+//! for every node nothing is fused, so each node keeps its own driver;
+//! a lone replica keeps its neighbors too, since fusing would serialize
+//! them.
 //!
 //! The load-bearing invariant is that **any single driver can finish
 //! the whole pipeline alone**: a step never blocks (edges are
@@ -48,9 +63,9 @@
 //! every exit path — the drop-balance contract the chaos suite checks.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use pstl_executor::runtime;
@@ -63,6 +78,9 @@ use super::{PipelineError, PipelineErrorKind, StreamStats};
 /// claim before the driver moves on — bounds both cancellation latency
 /// and per-stage monopolization.
 const BURST: usize = 32;
+
+/// The source's stage index.
+const SOURCE_STAGE: usize = 0;
 
 /// Every item carries the sequence number its source stamped; ordered
 /// farms restore this order, unordered farms ignore it.
@@ -122,6 +140,12 @@ fn payload_message(payload: &runtime::PanicPayload) -> String {
 struct StepOut {
     /// Items this step moved (drives the `StageBurst` trace event).
     items: u64,
+    /// Items a farm replica pulled straight from the source (a
+    /// `StageBurst` event attributed to the source).
+    pulled: u64,
+    /// Items a farm replica mapped straight into the sink, and the
+    /// sink's stage (a `StageBurst` event attributed to the sink).
+    delivered: (usize, u64),
     /// Whether anything at all happened (stall cleared counts too).
     progress: bool,
     /// The node reached its terminal state during this step. Latched
@@ -134,6 +158,8 @@ impl StepOut {
     fn idle() -> Self {
         StepOut {
             items: 0,
+            pulled: 0,
+            delivered: (0, 0),
             progress: false,
             finished: false,
         }
@@ -153,9 +179,9 @@ trait Node: Send {
     /// Teardown: drop whatever the node still holds (the unmapped rest
     /// of a popped batch, the item in hand when a closure panicked,
     /// mapped but unpushed output, the reorder buffer), report how many
-    /// items that was, and publish the node's own flow total (items
-    /// pulled by the source, consumed by the sink) to `shared`. Called
-    /// exactly once, after the run.
+    /// items that was, and publish the sink's consumed count to
+    /// `shared` (the source's count comes from a teardown hook, since
+    /// farm replicas may pull it). Called exactly once, after the run.
     fn drain(&mut self, shared: &Shared) -> u64;
 }
 
@@ -180,18 +206,26 @@ pub(super) struct Build {
     capacity: usize,
     /// Items per batch: `min(capacity, BURST)`.
     batch: usize,
+    /// Fewer drivers than nodes: fold the source and the sink into the
+    /// replicas of a farm between them (see [`make_farm`]).
+    fuse: bool,
     nodes: Vec<NodeSlot>,
-    edge_drains: Vec<Box<dyn FnMut() -> u64 + Send>>,
+    /// Run once after the drivers return: drain an edge or publish the
+    /// source's count, returning the items dropped.
+    teardown: Vec<Box<dyn FnMut() -> u64 + Send>>,
     shared: Arc<Shared>,
 }
 
 impl Build {
-    pub(super) fn new(capacity: usize) -> Self {
+    /// A graph of edges bounded at `capacity` items, built for `drivers`
+    /// drivers over `nodes` nodes (counting a source and a sink node).
+    pub(super) fn new(capacity: usize, drivers: usize, nodes: usize) -> Self {
         Build {
             capacity,
             batch: capacity.clamp(1, BURST),
+            fuse: drivers < nodes,
             nodes: Vec::new(),
-            edge_drains: Vec::new(),
+            teardown: Vec::new(),
             shared: Shared::new(),
         }
     }
@@ -199,7 +233,7 @@ impl Build {
     fn new_edge<V: Send + 'static>(&mut self, producers: usize) -> Arc<Edge<Seq<V>>> {
         let edge = Arc::new(Edge::new(self.capacity, producers));
         let drain = Arc::clone(&edge);
-        self.edge_drains.push(Box::new(move || drain.drain()));
+        self.teardown.push(Box::new(move || drain.drain()));
         edge
     }
 
@@ -216,14 +250,62 @@ impl Build {
     }
 }
 
-/// Type-erased edge handle passed between stage makers; each maker
-/// downcasts it back to the `Arc<Edge<T>>` its typed builder context
+/// Type-erased [`Link`] passed between stage makers; each maker
+/// downcasts it back to the `Link<T>` its typed builder context
 /// guarantees.
 pub(super) type AnyEdge = Box<dyn Any>;
 
-fn downcast_edge<V: Send + 'static>(any: AnyEdge) -> Arc<Edge<Seq<V>>> {
-    *any.downcast::<Arc<Edge<Seq<V>>>>()
+/// A maker's output as the next maker sees it.
+struct Link<V> {
+    input: Input<V>,
+    /// Set by a fused unordered farm: how its replicas reach the sink,
+    /// if the sink comes next.
+    direct: Option<DirectSink<V>>,
+}
+
+/// Filled by [`make_sink`] when the sink follows an unordered farm.
+type DirectSink<V> = Arc<OnceLock<Arc<Mutex<SinkCore<V>>>>>;
+
+/// The source iterator as the nodes that pull from it see it.
+type SharedSource<T> = Arc<Mutex<dyn Pull<T>>>;
+
+fn link<V: 'static>(input: Input<V>, direct: Option<DirectSink<V>>) -> AnyEdge {
+    Box::new(Link { input, direct })
+}
+
+fn downcast_link<V: 'static>(any: AnyEdge) -> Link<V> {
+    *any.downcast::<Link<V>>()
         .expect("stage maker chain preserves the item type")
+}
+
+/// Where a node takes its items from.
+enum Input<T> {
+    /// Batches popped from the edge behind the previous node.
+    Edge(Arc<Edge<Seq<T>>>),
+    /// Batches pulled straight from the source iterator: a farm right
+    /// behind the source has no edge and no source node in between.
+    Source(SharedSource<T>),
+}
+
+impl<T: Send + 'static> Input<T> {
+    /// An edge to pop from, putting a source node in front of a
+    /// source-fed input: every node but a fused farm's replicas pops
+    /// from an edge.
+    fn into_edge(self, build: &mut Build) -> Arc<Edge<Seq<T>>> {
+        match self {
+            Input::Edge(edge) => edge,
+            Input::Source(core) => {
+                let edge = build.new_edge::<T>(1);
+                let node = SourceNode {
+                    core,
+                    out: build.outbox(&edge),
+                    finished: false,
+                };
+                build.push_node(SOURCE_STAGE, Box::new(node));
+                edge
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -235,15 +317,18 @@ where
     I: Iterator + Send + 'static,
     I::Item: Send + 'static,
 {
-    let out = build.new_edge::<I::Item>(1);
-    let node = SourceNode {
+    let core: SharedSource<I::Item> = Arc::new(Mutex::new(SourceCore {
         iter: Some(iter),
         next_seq: 0,
-        out: build.outbox(&out),
-        finished: false,
-    };
-    build.push_node(0, Box::new(node));
-    Box::new(out)
+        pulling: false,
+    }));
+    let (count, shared) = (Arc::clone(&core), Arc::clone(&build.shared));
+    build.teardown.push(Box::new(move || {
+        let pulled = count.lock().pulled();
+        shared.produced.store(pulled, Ordering::Relaxed);
+        0
+    }));
+    link(Input::Source(core), None)
 }
 
 pub(super) fn make_stage<T, U, F>(build: &mut Build, stage: usize, f: F, input: AnyEdge) -> AnyEdge
@@ -252,11 +337,12 @@ where
     U: Send + 'static,
     F: FnMut(T) -> U + Send + 'static,
 {
-    let input = downcast_edge::<T>(input);
+    let input = downcast_link::<T>(input).input.into_edge(build);
     let out = build.new_edge::<U>(1);
-    let node = WorkNode::new(StageFn::Exclusive(Box::new(f)), input, build.outbox(&out));
+    let f = StageFn::Exclusive(Box::new(f));
+    let node = WorkNode::new(f, Input::Edge(input), build.outbox(&out), None);
     build.push_node(stage, Box::new(node));
-    Box::new(out)
+    link(Input::Edge(out), None)
 }
 
 pub(super) fn make_farm<T, U, F>(
@@ -273,19 +359,34 @@ where
     F: Fn(T) -> U + Send + Sync + 'static,
 {
     let replicas = replicas.max(1);
-    let input = downcast_edge::<T>(input);
+    // With fewer drivers than nodes some driver steps several nodes in
+    // turn anyway; two or more replicas then also do the source's and
+    // the sink's work between their maps, which saves a hop on each side
+    // and loses no parallelism. A lone replica keeps its neighbors: it
+    // would serialize them.
+    let fuse = build.fuse && replicas >= 2;
+    let input = match downcast_link::<T>(input).input {
+        Input::Source(core) if fuse => Input::Source(core),
+        input => Input::Edge(input.into_edge(build)),
+    };
     let mid = build.new_edge::<U>(replicas);
     let f: Arc<dyn Fn(T) -> U + Send + Sync> = Arc::new(f);
+    let direct = (fuse && !ordered).then(DirectSink::default);
     for _ in 0..replicas {
+        let input = match &input {
+            Input::Edge(edge) => Input::Edge(Arc::clone(edge)),
+            Input::Source(core) => Input::Source(Arc::clone(core)),
+        };
         let node = WorkNode::new(
             StageFn::Shared(Arc::clone(&f)),
-            Arc::clone(&input),
+            input,
             build.outbox(&mid),
+            direct.clone(),
         );
         build.push_node(stage, Box::new(node));
     }
     if !ordered {
-        return Box::new(mid);
+        return link(Input::Edge(mid), direct);
     }
     let out = build.new_edge::<U>(1);
     let node = ReorderNode {
@@ -297,7 +398,7 @@ where
         finished: false,
     };
     build.push_node(stage, Box::new(node));
-    Box::new(out)
+    link(Input::Edge(out), None)
 }
 
 pub(super) fn make_sink<T, F>(build: &mut Build, stage: usize, f: F, input: AnyEdge)
@@ -305,15 +406,24 @@ where
     T: Send + 'static,
     F: FnMut(T) + Send + 'static,
 {
-    let input = downcast_edge::<T>(input);
+    let Link { input, direct } = downcast_link::<T>(input);
+    let input = input.into_edge(build);
+    let core = Arc::new(Mutex::new(SinkCore {
+        f: Box::new(f),
+        stage,
+        pending: Vec::new().into_iter(),
+        in_hand: 0,
+        consumed: 0,
+    }));
+    if let Some(direct) = direct {
+        // Only this maker fills the slot, once.
+        let _ = direct.set(Arc::clone(&core));
+    }
     build.push_node(
         stage,
         Box::new(SinkNode {
-            f,
+            core,
             input,
-            pending: Vec::new().into_iter(),
-            in_hand: 0,
-            consumed: 0,
             finished: false,
         }),
     );
@@ -379,52 +489,103 @@ impl<V: Send> Outbox<V> {
     }
 }
 
-struct SourceNode<I: Iterator> {
+/// The source iterator and its sequence counter, shared by whatever
+/// pulls from it: the replicas of a farm right behind it, or a
+/// [`SourceNode`].
+struct SourceCore<I> {
     iter: Option<I>,
     /// Sequence number of the next item, so also the items pulled.
     next_seq: u64,
-    out: Outbox<I::Item>,
+    /// Set while `next` runs; left set by a panic, which marks the
+    /// core broken so the iterator is never called again.
+    pulling: bool,
+}
+
+/// A batch at a time from the source: one dynamic call per batch, the
+/// iterator itself called directly.
+trait Pull<T>: Send {
+    /// Append items to `batch` until it holds `limit` or the iterator
+    /// runs dry. `next` may panic (chaos: faulty source); the items
+    /// pulled before it are in `batch` and counted, so teardown drops
+    /// and counts them.
+    fn pull(&mut self, batch: &mut Vec<Seq<T>>, limit: usize);
+    fn exhausted(&self) -> bool;
+    /// A pull panicked: the iterator must not be called again.
+    fn broken(&self) -> bool;
+    /// Items pulled so far.
+    fn pulled(&self) -> u64;
+}
+
+impl<I> Pull<I::Item> for SourceCore<I>
+where
+    I: Iterator + Send,
+{
+    fn pull(&mut self, batch: &mut Vec<Seq<I::Item>>, limit: usize) {
+        let Some(iter) = self.iter.as_mut() else {
+            return;
+        };
+        self.pulling = true;
+        let mut dry = false;
+        while batch.len() < limit {
+            match iter.next() {
+                Some(v) => {
+                    batch.push((self.next_seq, v));
+                    self.next_seq += 1;
+                }
+                None => {
+                    dry = true;
+                    break;
+                }
+            }
+        }
+        self.pulling = false;
+        if dry {
+            self.iter = None;
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.iter.is_none()
+    }
+
+    fn broken(&self) -> bool {
+        self.pulling
+    }
+
+    fn pulled(&self) -> u64 {
+        self.next_seq
+    }
+}
+
+/// Stage 0's node whenever no fused farm pulls from the source itself:
+/// a plain stage, a lone replica or the sink comes next, or the pool has
+/// a thread for every node.
+struct SourceNode<T> {
+    core: SharedSource<T>,
+    out: Outbox<T>,
     finished: bool,
 }
 
-impl<I> Node for SourceNode<I>
-where
-    I: Iterator + Send + 'static,
-    I::Item: Send + 'static,
-{
+impl<T: Send + 'static> Node for SourceNode<T> {
     fn step(&mut self, shared: &Shared) -> StepOut {
         if self.finished {
             return StepOut::idle();
         }
+        let mut core = self.core.lock();
         let mut out = StepOut::idle();
         loop {
             match self.out.flush(shared) {
                 Flush::Pushed(n) => out.moved(n),
                 Flush::Stalled => return out,
             }
-            if out.items >= BURST as u64 {
+            if out.items >= BURST as u64 || core.broken() {
                 return out;
             }
-            let Some(iter) = self.iter.as_mut() else {
+            if core.exhausted() {
                 break;
-            };
-            // Fill one batch. `next` may panic (chaos: faulty source);
-            // the items pulled before it are in the outbox and counted
-            // by `next_seq`, so teardown drops and counts them.
-            let limit = self.out.limit;
-            let batch = self.out.open();
-            while batch.len() < limit {
-                match iter.next() {
-                    Some(v) => {
-                        batch.push((self.next_seq, v));
-                        self.next_seq += 1;
-                    }
-                    None => {
-                        self.iter = None;
-                        break;
-                    }
-                }
             }
+            let limit = self.out.limit;
+            core.pull(self.out.open(), limit);
         }
         self.finished = true;
         self.out.edge.producer_done();
@@ -433,8 +594,7 @@ where
         out
     }
 
-    fn drain(&mut self, shared: &Shared) -> u64 {
-        shared.produced.store(self.next_seq, Ordering::Relaxed);
+    fn drain(&mut self, _shared: &Shared) -> u64 {
         self.out.drain()
     }
 }
@@ -454,30 +614,126 @@ impl<T, U> StageFn<T, U> {
     }
 }
 
-/// A plain stage or one farm replica: pops a batch, maps it in order
-/// into one output batch, pushes that.
-struct WorkNode<T, U> {
+/// A popped batch being mapped one item at a time.
+struct Mapper<T, U> {
     f: StageFn<T, U>,
-    input: Arc<Edge<Seq<T>>>,
-    /// The popped batch's items not yet mapped.
-    pending: std::vec::IntoIter<Seq<T>>,
-    /// 1 while the user closure holds an item — so a panic mid-item
-    /// still balances the drop accounting (`drain` counts it).
+    /// The batch's items not yet mapped.
+    pending: VecDeque<Seq<T>>,
+    /// 1 while the closure holds an item — so a panic mid-item still
+    /// balances the drop accounting (`drain` counts it).
     in_hand: u64,
+}
+
+impl<T, U> Mapper<T, U> {
+    fn next(&mut self) -> Option<Seq<U>> {
+        let (seq, v) = self.pending.pop_front()?;
+        self.in_hand = 1;
+        let u = self.f.call(v); // may panic: in_hand covers v
+        self.in_hand = 0;
+        Some((seq, u))
+    }
+}
+
+/// A plain stage or one farm replica: takes a batch, maps it in order
+/// into one output batch, pushes that. An unordered farm replica that
+/// can claim the sink maps straight into it instead.
+struct WorkNode<T, U> {
+    map: Mapper<T, U>,
+    input: Input<T>,
+    /// Items pulled from the source for the next batch (here, not in a
+    /// local, so a panicking pull still leaves them counted).
+    pulled: Vec<Seq<T>>,
     out: Outbox<U>,
+    direct: Option<DirectSink<U>>,
     finished: bool,
 }
 
 impl<T: Send, U: Send> WorkNode<T, U> {
-    fn new(f: StageFn<T, U>, input: Arc<Edge<Seq<T>>>, out: Outbox<U>) -> Self {
+    fn new(
+        f: StageFn<T, U>,
+        input: Input<T>,
+        out: Outbox<U>,
+        direct: Option<DirectSink<U>>,
+    ) -> Self {
         WorkNode {
-            f,
+            map: Mapper {
+                f,
+                pending: VecDeque::new(),
+                in_hand: 0,
+            },
             input,
-            pending: Vec::new().into_iter(),
-            in_hand: 0,
+            pulled: Vec::new(),
             out,
+            direct,
             finished: false,
         }
+    }
+
+    /// The next input batch: popped from the edge, or pulled from the
+    /// source if no other replica is pulling right now.
+    fn take(&mut self, shared: &Shared) -> PopResult<Seq<T>> {
+        let core = match &self.input {
+            Input::Edge(edge) => return edge.pop_or_eos(),
+            Input::Source(core) => core,
+        };
+        let Some(mut core) = core.try_lock() else {
+            return PopResult::Empty;
+        };
+        if core.broken() {
+            return PopResult::Empty;
+        }
+        if core.exhausted() {
+            return PopResult::EndOfStream;
+        }
+        let limit = self.out.limit;
+        if self.pulled.capacity() == 0 {
+            self.pulled.reserve_exact(limit);
+        }
+        if let Err(payload) = runtime::contain(|| core.pull(&mut self.pulled, limit)) {
+            shared.poison_panic(SOURCE_STAGE, payload);
+            return PopResult::Empty;
+        }
+        if self.pulled.is_empty() {
+            PopResult::EndOfStream
+        } else {
+            PopResult::Batch(std::mem::take(&mut self.pulled))
+        }
+    }
+
+    /// Keep a fully mapped pulled batch's buffer for the next pull.
+    fn recycle(&mut self) {
+        if matches!(self.input, Input::Source(_)) && self.map.pending.is_empty() {
+            self.pulled = Vec::from(std::mem::take(&mut self.map.pending));
+        }
+    }
+
+    /// If the sink can be claimed: consume what is queued on the output
+    /// edge first, then map the pending batch item by item straight into
+    /// the sink. Returns the sink's stage and the items it consumed. A
+    /// panic in the sink poisons the run with the sink's stage; one in
+    /// the map unwinds to the driver as before.
+    fn deliver(&mut self, shared: &Shared) -> Option<(usize, u64)> {
+        let mut sink = self.direct.as_ref()?.get()?.try_lock()?;
+        if sink.broken() {
+            return None;
+        }
+        let (map, queue) = (&mut self.map, &self.out.edge);
+        let before = sink.consumed;
+        let run = runtime::contain(|| {
+            while let PopResult::Batch(queued) = queue.pop_or_eos() {
+                sink.consume_batch(queued);
+            }
+            while let Some((_seq, u)) = map.next() {
+                sink.consume(u);
+            }
+        });
+        if let Err(payload) = run {
+            if !sink.broken() {
+                std::panic::resume_unwind(payload);
+            }
+            shared.poison_panic(sink.stage, payload);
+        }
+        Some((sink.stage, sink.consumed - before))
     }
 }
 
@@ -499,20 +755,13 @@ where
             if out.items >= BURST as u64 {
                 return out;
             }
-            match self.input.pop_or_eos() {
+            match self.take(shared) {
                 PopResult::Batch(batch) => {
                     out.progress = true;
-                    // Batches never exceed the capacity every edge
-                    // shares, so one input batch fills at most one
-                    // output batch.
-                    self.pending = batch.into_iter();
-                    let mapped = self.out.open();
-                    for (seq, v) in self.pending.by_ref() {
-                        self.in_hand = 1;
-                        let u = self.f.call(v); // may panic: in_hand covers v
-                        self.in_hand = 0;
-                        mapped.push((seq, u));
+                    if matches!(self.input, Input::Source(_)) {
+                        out.pulled += batch.len() as u64;
                     }
+                    self.map.pending = VecDeque::from(batch);
                 }
                 PopResult::EndOfStream => {
                     self.finished = true;
@@ -523,13 +772,29 @@ where
                 }
                 PopResult::Empty => return out,
             }
+            let n = self.map.pending.len() as u64;
+            if let Some(delivered) = self.deliver(shared) {
+                out.delivered = delivered;
+                out.moved(n);
+                self.recycle();
+                return out;
+            }
+            // Batches never exceed the capacity every edge shares, so
+            // one input batch fills at most one output batch.
+            let mapped = self.out.open();
+            while let Some(item) = self.map.next() {
+                mapped.push(item);
+            }
+            self.recycle();
         }
     }
 
     fn drain(&mut self, _shared: &Shared) -> u64 {
-        let unmapped = self.pending.len() as u64;
-        self.pending = Vec::new().into_iter();
-        unmapped + self.in_hand + self.out.drain()
+        let unmapped = self.map.pending.len() as u64;
+        self.map.pending.clear();
+        let pulled = self.pulled.len() as u64;
+        self.pulled.clear();
+        unmapped + pulled + self.map.in_hand + self.out.drain()
     }
 }
 
@@ -616,23 +881,57 @@ impl<V: Send + 'static> Node for ReorderNode<V> {
     }
 }
 
-struct SinkNode<T, F> {
-    f: F,
-    input: Arc<Edge<Seq<T>>>,
+/// The sink's closure and counters, shared by the sink node and, when
+/// fused, the replicas of the unordered farm right before it: whoever
+/// holds the lock is the sink, so the closure still runs on one thread
+/// at a time.
+struct SinkCore<T> {
+    f: Box<dyn FnMut(T) + Send>,
+    stage: usize,
     /// The popped batch's items not yet consumed.
     pending: std::vec::IntoIter<Seq<T>>,
+    /// 1 while the closure holds an item; left at 1 by a panic, which
+    /// marks the core broken so the closure is never called again.
     in_hand: u64,
     consumed: u64,
+}
+
+impl<T> SinkCore<T> {
+    fn broken(&self) -> bool {
+        self.in_hand != 0
+    }
+
+    fn consume(&mut self, v: T) {
+        self.in_hand = 1;
+        (self.f)(v); // may panic: in_hand covers v
+        self.in_hand = 0;
+        self.consumed += 1;
+    }
+
+    fn consume_batch(&mut self, batch: Vec<Seq<T>>) {
+        self.pending = batch.into_iter();
+        while let Some((_seq, v)) = self.pending.next() {
+            self.consume(v);
+        }
+    }
+}
+
+struct SinkNode<T> {
+    core: Arc<Mutex<SinkCore<T>>>,
+    input: Arc<Edge<Seq<T>>>,
     finished: bool,
 }
 
-impl<T, F> Node for SinkNode<T, F>
-where
-    T: Send + 'static,
-    F: FnMut(T) + Send + 'static,
-{
+impl<T: Send + 'static> Node for SinkNode<T> {
     fn step(&mut self, _shared: &Shared) -> StepOut {
         if self.finished {
+            return StepOut::idle();
+        }
+        // A replica holding the core is consuming for the sink.
+        let Some(mut core) = self.core.try_lock() else {
+            return StepOut::idle();
+        };
+        if core.broken() {
             return StepOut::idle();
         }
         let mut out = StepOut::idle();
@@ -640,13 +939,7 @@ where
             match self.input.pop_or_eos() {
                 PopResult::Batch(batch) => {
                     out.moved(batch.len() as u64);
-                    self.pending = batch.into_iter();
-                    for (_seq, v) in self.pending.by_ref() {
-                        self.in_hand = 1;
-                        (self.f)(v); // may panic: in_hand covers v
-                        self.in_hand = 0;
-                        self.consumed += 1;
-                    }
+                    core.consume_batch(batch);
                 }
                 PopResult::EndOfStream => {
                     self.finished = true;
@@ -661,10 +954,11 @@ where
     }
 
     fn drain(&mut self, shared: &Shared) -> u64 {
-        shared.consumed.store(self.consumed, Ordering::Relaxed);
-        let unconsumed = self.pending.len() as u64;
-        self.pending = Vec::new().into_iter();
-        unconsumed + self.in_hand
+        let mut core = self.core.lock();
+        shared.consumed.store(core.consumed, Ordering::Relaxed);
+        let unconsumed = core.pending.len() as u64;
+        core.pending = Vec::new().into_iter();
+        unconsumed + core.in_hand
     }
 }
 
@@ -711,6 +1005,15 @@ fn drive(graph: &Graph, origin: usize, exec: &dyn Executor) {
                     if pstl_trace::enabled() && step.items > 0 {
                         exec.record_stage_burst(slot.stage as u64, step.items);
                     }
+                    if pstl_trace::enabled() {
+                        let (sink_stage, delivered) = step.delivered;
+                        for (stage, items) in [(SOURCE_STAGE, step.pulled), (sink_stage, delivered)]
+                        {
+                            if items > 0 {
+                                exec.record_stage_burst(stage as u64, items);
+                            }
+                        }
+                    }
                     if step.finished {
                         slot.done.store(true, Ordering::Relaxed);
                         shared.finished_nodes.fetch_add(1, Ordering::AcqRel);
@@ -744,7 +1047,7 @@ pub(super) fn run_graph(
 ) -> Result<StreamStats, PipelineError> {
     let Build {
         nodes,
-        mut edge_drains,
+        mut teardown,
         shared,
         ..
     } = build;
@@ -762,7 +1065,7 @@ pub(super) fn run_graph(
     for slot in &graph.nodes {
         dropped += slot.node.lock().drain(&shared);
     }
-    for drain in &mut edge_drains {
+    for drain in &mut teardown {
         dropped += drain();
     }
 
@@ -949,6 +1252,113 @@ mod tests {
                 .collect(&*pool)
                 .unwrap();
             assert_eq!(again, (1..=300).collect::<Vec<_>>(), "{d:?}: pool reusable");
+        }
+    }
+
+    /// `source → farm(2) → sink` on `pool`, panicking in the source
+    /// iterator (`in_source`) or in the sink on item `trip`.
+    fn run_fused_tripping(
+        in_source: bool,
+        trip: u64,
+        pool: &dyn Executor,
+        live: &Arc<AtomicIsize>,
+    ) -> PipelineError {
+        let made = Arc::clone(live);
+        let source = Pipeline::source((0..2_000u64).map(move |v| {
+            if in_source && v == trip {
+                panic!("trip at {trip}");
+            }
+            Elem::new(v, &made)
+        }));
+        source
+            .farm(2, |e: Elem| e)
+            .sink(move |e: Elem| {
+                if !in_source && e.0 == trip {
+                    panic!("trip at {trip}");
+                }
+            })
+            .run(pool)
+            .unwrap_err()
+    }
+
+    #[test]
+    fn fused_farm_blames_the_source_and_the_sink_for_their_panics() {
+        // Fewer threads than the four nodes: the replicas pull from the
+        // source and call the sink themselves, yet a panic in either is
+        // still attributed to its own stage and the drops balance.
+        let live = Arc::new(AtomicIsize::new(0));
+        for (d, threads) in [
+            (Discipline::WorkStealing, 2),
+            (Discipline::ForkJoin, 3),
+            (Discipline::TaskPool, 1),
+        ] {
+            let pool = build_pool(d, threads);
+            for in_source in [true, false] {
+                for trip in [0, 1, BURST as u64 - 1, BURST as u64, 777] {
+                    let label = format!("{d:?}/{threads}/source {in_source}/item {trip}");
+                    let err = run_fused_tripping(in_source, trip, &*pool, &live);
+                    let want_stage = if in_source { 0 } else { 2 };
+                    match &err.kind {
+                        PipelineErrorKind::StagePanicked { stage, message } => {
+                            assert_eq!(*stage, want_stage, "{label}");
+                            assert!(message.contains("trip at"), "{label}: {message}");
+                        }
+                        other => panic!("{label}: expected StagePanicked, got {other:?}"),
+                    }
+                    let s = err.stats;
+                    assert_eq!(s.produced, s.consumed + s.dropped, "{label}: {s:?}");
+                    if in_source {
+                        assert_eq!(s.produced, trip, "{label}: items before the panic");
+                    }
+                    assert_eq!(
+                        live.load(Ordering::SeqCst),
+                        0,
+                        "{label}: leak or double drop"
+                    );
+                }
+            }
+            let again = Pipeline::source(0..300u64)
+                .farm(2, |x| x + 1)
+                .collect(&*pool)
+                .unwrap();
+            assert_eq!(again.len(), 300, "{d:?}: pool reusable");
+        }
+    }
+
+    #[test]
+    fn fused_and_unfused_farms_agree_and_the_sink_runs_alone() {
+        // 1–3 threads fuse `source → farm(3) → sink` (five nodes), 5
+        // and 6 do not; every run must see the same items, in source
+        // order behind an ordered farm, with the sink never entered
+        // twice at once.
+        let want: Vec<u64> = (0..5_000u64).map(|x| x * 3 + 1).collect();
+        for threads in [1, 2, 3, 5, 6] {
+            let pool = build_pool(Discipline::WorkStealing, threads);
+            for cap in [1usize, 7, 64] {
+                let busy = Arc::new(AtomicIsize::new(0));
+                let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+                let (b, g) = (Arc::clone(&busy), Arc::clone(&got));
+                let stats = Pipeline::source(0..5_000u64)
+                    .capacity(cap)
+                    .farm(3, |x| x * 3 + 1)
+                    .sink(move |x| {
+                        assert_eq!(b.fetch_add(1, Ordering::SeqCst), 0, "sink re-entered");
+                        g.lock().push(x);
+                        b.fetch_sub(1, Ordering::SeqCst);
+                    })
+                    .run(&*pool)
+                    .unwrap();
+                assert_eq!((stats.produced, stats.consumed), (5_000, 5_000));
+                let mut got = std::mem::take(&mut *got.lock());
+                got.sort_unstable();
+                assert_eq!(got, want, "{threads} threads, capacity {cap}: unordered");
+                let ordered = Pipeline::source(0..5_000u64)
+                    .capacity(cap)
+                    .ordered_farm(3, |x| x * 3 + 1)
+                    .collect(&*pool)
+                    .unwrap();
+                assert_eq!(ordered, want, "{threads} threads, capacity {cap}: ordered");
+            }
         }
     }
 }

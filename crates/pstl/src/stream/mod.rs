@@ -143,9 +143,11 @@ pub struct Pipeline;
 
 impl Pipeline {
     /// Start a pipeline from any iterator. The source runs as stage 0
-    /// on the pool like every other stage; it is pulled lazily under
-    /// backpressure, so an unbounded iterator with a cancel token is a
-    /// valid continuous-traffic setup.
+    /// on the pool like every other stage (or, when a farm of two or
+    /// more replicas follows it on a pool with fewer threads than the
+    /// pipeline has nodes, those replicas pull from it directly); it is
+    /// pulled lazily under backpressure, so an unbounded iterator with a
+    /// cancel token is a valid continuous-traffic setup.
     pub fn source<I>(into_iter: I) -> PipelineBuilder<I::Item>
     where
         I: IntoIterator,
@@ -157,6 +159,7 @@ impl Pipeline {
             source: Box::new(move |build| engine::make_source(build, iter)),
             stages: Vec::new(),
             next_stage: 1,
+            nodes: 1,
             capacity: DEFAULT_CAPACITY,
             cancel: None,
             _marker: std::marker::PhantomData,
@@ -171,6 +174,9 @@ pub struct PipelineBuilder<T> {
     source: SourceMaker,
     stages: Vec<StageMaker>,
     next_stage: usize,
+    /// Schedulable nodes so far: the source, one per plain stage, one
+    /// per farm replica, one per reorder node.
+    nodes: usize,
     capacity: usize,
     cancel: Option<CancelToken>,
     _marker: std::marker::PhantomData<fn() -> T>,
@@ -206,7 +212,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         self.stages.push(Box::new(move |build, input| {
             engine::make_stage::<T, U, F>(build, stage, f, input)
         }));
-        self.advance()
+        self.advance(1)
     }
 
     /// Append a stateful single-replica stage: `state` is owned by the
@@ -232,7 +238,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         self.stages.push(Box::new(move |build, input| {
             engine::make_farm::<T, U, F>(build, stage, replicas, false, f, input)
         }));
-        self.advance()
+        self.advance(replicas.max(1))
     }
 
     /// Append an **ordered** farm: same parallelism as
@@ -248,7 +254,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         self.stages.push(Box::new(move |build, input| {
             engine::make_farm::<T, U, F>(build, stage, replicas, true, f, input)
         }));
-        self.advance()
+        self.advance(replicas.max(1) + 1)
     }
 
     /// Terminate with a sink closure (single replica, exclusive `FnMut`
@@ -262,6 +268,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             source: self.source,
             stages: self.stages,
             sink: Box::new(move |build, input| engine::make_sink::<T, F>(build, stage, f, input)),
+            nodes: self.nodes + 1,
             capacity: self.capacity,
             cancel: self.cancel,
         }
@@ -279,11 +286,12 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             .into_inner())
     }
 
-    fn advance<U: Send + 'static>(self) -> PipelineBuilder<U> {
+    fn advance<U: Send + 'static>(self, nodes: usize) -> PipelineBuilder<U> {
         PipelineBuilder {
             source: self.source,
             stages: self.stages,
             next_stage: self.next_stage + 1,
+            nodes: self.nodes + nodes,
             capacity: self.capacity,
             cancel: self.cancel,
             _marker: std::marker::PhantomData,
@@ -296,6 +304,8 @@ pub struct SinkedPipeline {
     source: SourceMaker,
     stages: Vec<StageMaker>,
     sink: SinkMaker,
+    /// Schedulable nodes, the sink included.
+    nodes: usize,
     capacity: usize,
     cancel: Option<CancelToken>,
 }
@@ -306,7 +316,7 @@ impl SinkedPipeline {
     /// Works on every discipline, including `Sequential`
     /// (`threads == 1` cooperatively steps all stages inline).
     pub fn run(self, exec: &dyn Executor) -> Result<StreamStats, PipelineError> {
-        let mut build = engine::Build::new(self.capacity);
+        let mut build = engine::Build::new(self.capacity, exec.num_threads(), self.nodes);
         let mut edge = (self.source)(&mut build);
         for stage in self.stages {
             edge = stage(&mut build, edge);

@@ -10,6 +10,10 @@
 //! the algorithms take their comparator as a generic `&C`, so a
 //! `dyn Fn(&T, &T)` comparator (a virtual call per comparison) must not
 //! come back.
+//!
+//! And it guards the kernel layer's ISA dispatch: CPU feature detection
+//! and every `#[target_feature]` clone live in `kernel/isa.rs`, which
+//! holds the one `unsafe` call site per clone and its safety argument.
 
 use std::path::Path;
 
@@ -140,6 +144,55 @@ fn comparison_path_has_no_dyn_comparator() {
         offenders.is_empty(),
         "comparison kernels take `cmp: &C` with `C: Fn(&T, &T) -> Ordering`;\n\
          found a dynamically dispatched comparator (outside test modules):\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively, sorted.
+fn rust_files(dir: &Path) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    let entries = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("guard lint cannot list {}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn isa_dispatch_lives_only_in_kernel_isa() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let isa = root.join("crates/pstl/src/kernel/isa.rs");
+    let files = rust_files(&root.join("crates/pstl/src"));
+    assert!(
+        files.contains(&isa),
+        "guard lint cannot find kernel/isa.rs; it would guard nothing"
+    );
+    let mut offenders = Vec::new();
+    for path in files.iter().filter(|p| **p != isa) {
+        let src = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("guard lint cannot read {}: {e}", path.display()));
+        let rel = path.strip_prefix(root).unwrap_or(path).display();
+        for (lineno, line) in src.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            if code.contains("#[target_feature") || code.contains("is_x86_feature_detected!") {
+                offenders.push(format!("{rel}:{}: {}", lineno + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "ISA clones and CPU feature detection belong to kernel/isa.rs (`dispatch!`);\n\
+         found them elsewhere:\n{}",
         offenders.join("\n")
     );
 }
