@@ -11,6 +11,8 @@
 //! * `scan` — the phase-1 range fold both scan engines share,
 //! * `sort` — the comparison leaf every sort bottoms out in
 //!   (`seq::introsort`) vs. `slice::sort_unstable` on 2^16 random u64,
+//!   on 1024 random `(u64, u64)` (the `jobs` tail; both take the leaf's
+//!   sorting networks) and on 4096 random `String`s (insertion sort),
 //! * `digest` — the `jobs`/`ext_stream` farm body (a `fold_map` over 64
 //!   `u32`, each mixed with the record's key) through the baseline-only
 //!   `fold_map_scalar` vs. the dispatched `fold_map`, which runs the
@@ -24,8 +26,8 @@
 //! with these measured ones.
 //!
 //! With `--check`, exits non-zero unless the acceptance gates hold:
-//! wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7), the sort
-//! leaf ≤ 1.5× the time of `slice::sort_unstable`, and, on a host at
+//! wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7), the u64 sort
+//! leaf ≤ 1.25× the time of `slice::sort_unstable`, and, on a host at
 //! `x86-64-v3` or above, the dispatched digest ≥ 1.5× the baseline one
 //! (`n/a` on a baseline-only host).
 
@@ -42,15 +44,20 @@ use serde::Serialize;
 /// Wide reduce/find must be at least this much faster than scalar
 /// (time ratio ≤ 0.7 ⇒ speedup ≥ 1/0.7).
 const GATE_WIDE_SPEEDUP: f64 = 1.0 / 0.7;
-/// The sort leaf may take at most 1.5× the time of `slice::sort_unstable`
-/// (time ratio ≤ 1.5 ⇒ speedup ≥ 1/1.5).
-const GATE_SORT_LEAF: f64 = 1.0 / 1.5;
+/// The u64 sort leaf may take at most 1.25× the time of
+/// `slice::sort_unstable` (time ratio ≤ 1.25 ⇒ speedup ≥ 1/1.25).
+const GATE_SORT_LEAF: f64 = 1.0 / 1.25;
 /// On a host at `x86-64-v3` or above, the dispatched digest must be at
 /// least this much faster than the baseline-compiled one.
 const GATE_ISA_DIGEST: f64 = 1.5;
 /// Sort-leaf row size: about one leaf segment of the `bulk` workload's
 /// quicksort (2^20 elements over 16 tasks).
 const SORT_LEAF_N: usize = 1 << 16;
+/// Pair-leaf row size: the `jobs` workload's sequential tail sorts the
+/// 1024 `(u64, u64)` records its farm collected.
+const SORT_PAIR_N: usize = 1024;
+/// String-leaf row size.
+const SORT_STRING_N: usize = 4096;
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -93,36 +100,37 @@ fn scrambled_u32(n: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Best-of-`9 * reps` ns per element of `slice::sort_unstable` and of
-/// `seq::introsort` on [`SORT_LEAF_N`] random u64. Every rep sorts a
-/// fresh input (a repeated one would train the branch predictor), and
-/// both sides sort the same input back to back, alternating which goes
-/// first, so host noise hits them alike. A rep takes about 2 ms, so the
-/// row affords more of them than the others: on a shared 2-core host, 27 reps
-/// often found no quiet window and the ratio read up to 1.6× where 81
-/// read 1.4×.
-fn time_sort_leaf(reps: usize) -> (f64, f64) {
+/// Best-of-`9 * reps * SORT_LEAF_N / n` ns per element of
+/// `slice::sort_unstable` and of `seq::introsort` on `n` elements from
+/// `gen`. Every rep sorts a fresh input (a repeated one would train the
+/// branch predictor), and both sides sort the same input back to back,
+/// alternating which goes first, so host noise hits them alike. A rep of
+/// [`SORT_LEAF_N`] u64 takes about 2 ms, so the rows afford more reps
+/// than the others (shorter rows proportionally more): on a shared 2-core
+/// host, 27 reps often found no quiet window and the ratio read up to
+/// 1.6× where 81 read 1.4×.
+fn time_sort_leaf<T: Ord + Clone>(
+    n: usize,
+    reps: usize,
+    mut gen: impl FnMut(&mut u64) -> T,
+) -> (f64, f64) {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut input = vec![0u64; SORT_LEAF_N];
+    let mut input: Vec<T> = (0..n).map(|_| gen(&mut state)).collect();
     let mut buf = input.clone();
     let mut best = [f64::INFINITY; 2];
-    for rep in 0..=9 * reps {
+    for rep in 0..=9 * reps * SORT_LEAF_N.div_ceil(n) {
         for x in input.iter_mut() {
-            // xorshift64
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *x = state;
+            *x = gen(&mut state);
         }
         for side in [rep % 2, 1 - rep % 2] {
-            buf.copy_from_slice(&input);
+            buf.clone_from_slice(&input);
             let t = Instant::now();
             if side == 0 {
                 black_box(&mut buf).sort_unstable();
             } else {
-                pstl::seq::introsort(black_box(&mut buf), &|a: &u64, b: &u64| a.cmp(b));
+                pstl::seq::introsort(black_box(&mut buf), &|a: &T, b: &T| a.cmp(b));
             }
-            let ns = t.elapsed().as_secs_f64() * 1e9 / SORT_LEAF_N as f64;
+            let ns = t.elapsed().as_secs_f64() * 1e9 / n as f64;
             // Rep 0 is the warm-up.
             if rep > 0 {
                 best[side] = best[side].min(ns);
@@ -130,6 +138,14 @@ fn time_sort_leaf(reps: usize) -> (f64, f64) {
         }
     }
     (best[0], best[1])
+}
+
+/// xorshift64: the next pseudo-random word of `state`.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
 }
 
 /// The digest with the same closures as [`stream::digest`], through the
@@ -226,8 +242,13 @@ fn main() {
         ));
     });
 
-    // --- sort: the comparison leaf vs. std's unstable sort -------------
-    let (sort_std, sort_leaf) = time_sort_leaf(reps);
+    // --- sort: the comparison leaf vs. std's unstable sort, on the
+    // `bulk` leaf segment (u64), the `jobs` tail (1024 pairs), and owned
+    // strings, which keep insertion sort for small partitions. ----------
+    let (sort_std, sort_leaf) = time_sort_leaf(SORT_LEAF_N, reps, xorshift);
+    let (pair_std, pair_leaf) = time_sort_leaf(SORT_PAIR_N, reps, |s| (xorshift(s), xorshift(s)));
+    let (string_std, string_leaf) =
+        time_sort_leaf(SORT_STRING_N, reps, |s| format!("{:x}", xorshift(s)));
 
     // --- digest: the `ext_stream` probe tile, baseline vs. dispatched.
     // A tile takes about 0.1 ms, so the row affords 9× the reps. --------
@@ -311,6 +332,22 @@ fn main() {
             scalar_ns_per_elem: sort_std,
             wide_ns_per_elem: sort_leaf,
             speedup: sort_std / sort_leaf,
+        },
+        KernelRow {
+            name: "sort_pair_leaf",
+            scalar_path: "slice::sort_unstable",
+            wide_path: "seq::introsort",
+            scalar_ns_per_elem: pair_std,
+            wide_ns_per_elem: pair_leaf,
+            speedup: pair_std / pair_leaf,
+        },
+        KernelRow {
+            name: "sort_string_leaf",
+            scalar_path: "slice::sort_unstable",
+            wide_path: "seq::introsort",
+            scalar_ns_per_elem: string_std,
+            wide_ns_per_elem: string_leaf,
+            speedup: string_std / string_leaf,
         },
         KernelRow {
             name: "digest_u32x64",
@@ -404,7 +441,7 @@ fn main() {
             GATE_WIDE_SPEEDUP,
         );
         gate(
-            "sort   introsort<=1.5x sort_unstable",
+            "sort   introsort<=1.25x sort_unstable",
             sort_std / sort_leaf,
             GATE_SORT_LEAF,
         );

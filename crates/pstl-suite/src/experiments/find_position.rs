@@ -326,6 +326,7 @@ pub fn build_figure(bench: &BenchFind) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serial;
 
     #[test]
     fn sweep_shape() {
@@ -364,6 +365,7 @@ mod tests {
     /// committed BENCH_find.json baseline, not on noisy CI runners).
     #[test]
     fn front_match_is_faster_than_drain() {
+        let _turn = serial();
         let pool = build_pool(Discipline::WorkStealing, THREADS);
         let policy = policy_with(&pool, Partitioner::Static);
         let front = measure(&policy, &haystack(Some(N / 100)), Some(N / 100));
@@ -376,6 +378,7 @@ mod tests {
 
     #[test]
     fn counters_flow_into_the_sweep() {
+        let _turn = serial();
         let pool = build_pool(Discipline::WorkStealing, THREADS);
         let policy = policy_with(&pool, Partitioner::Static);
         let (early, wasted) = counter_delta(&pool, &policy, &haystack(Some(N / 100)));

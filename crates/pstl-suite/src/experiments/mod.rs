@@ -61,6 +61,17 @@ pub fn time(machine: &Machine, backend: Backend, kernel: Kernel, n: usize, threa
     CpuSim::new(machine.clone(), backend).time(&RunParams::new(kernel, n, threads))
 }
 
+/// Turn-taking for the experiment tests that run real threads. They
+/// measure wall time (closed-loop calibration, row-vs-row ratios,
+/// makespans), so one running beside another on a small box skews both;
+/// each holds this guard for its whole body instead. A test that panics
+/// poisons nothing: the next one takes the lock anyway.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The size sweep of the problem-scaling figures: 2^3 … 2^30.
 pub fn paper_size_sweep() -> Vec<usize> {
     (3..=30).map(|e| 1usize << e).collect()

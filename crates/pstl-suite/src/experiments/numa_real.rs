@@ -287,9 +287,11 @@ pub fn build_table(bench: &BenchNuma) -> TableDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serial;
 
     #[test]
     fn two_tier_order_raises_local_fraction_on_every_multinode_machine() {
+        let _turn = serial();
         // ISSUE acceptance: on a simulated multi-node machine the
         // two-tier order yields a strictly higher local-steal fraction
         // than blind victim choice. Majority-local is NOT guaranteed in
@@ -327,6 +329,7 @@ mod tests {
 
     #[test]
     fn first_touch_direction_matches_fig1() {
+        let _turn = serial();
         // ISSUE acceptance: FirstTouch ≥ Default for the bandwidth-bound
         // kernel on multi-node machines, ≈ 1 for compute-bound k1000.
         for m in machine_sweep() {
@@ -366,6 +369,7 @@ mod tests {
 
     #[test]
     fn pool_counters_partition_and_flat_has_no_remote() {
+        let _turn = serial();
         let p = measure_pool();
         assert_eq!(p.steals, p.local_steals + p.remote_steals);
         assert_eq!(p.flat_remote_steals, 0);
@@ -374,6 +378,7 @@ mod tests {
 
     #[test]
     fn table_has_one_row_per_machine_and_no_holes() {
+        let _turn = serial();
         let bench = bench();
         let t = build_table(&bench);
         assert_eq!(t.rows.len(), machine_sweep().len());

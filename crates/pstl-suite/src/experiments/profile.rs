@@ -165,6 +165,7 @@ pub fn build() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serial;
 
     #[test]
     fn weights_are_uniform_or_triangular() {
@@ -178,6 +179,7 @@ mod tests {
 
     #[test]
     fn report_has_expected_shape() {
+        let _turn = serial();
         let report = build_with(BenchConfig::quick());
         assert_eq!(report.experiment, "ext_profile");
         assert_eq!(report.benchmarks.len(), POINTS.len());
@@ -208,6 +210,7 @@ mod tests {
         if !pstl_trace::enabled() {
             return; // nothing recorded without the trace feature
         }
+        let _turn = serial();
         let m = measure_point(
             "ws",
             Discipline::WorkStealing,

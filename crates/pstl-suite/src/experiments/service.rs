@@ -367,15 +367,7 @@ impl ServiceDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// These tests measure real time on real threads; running them
-    /// concurrently on a small box skews the closed-loop calibration
-    /// against the sweep it parameterizes, so they take turns.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::experiments::serial;
 
     #[test]
     fn doc_has_expected_shape_and_accounting_holds() {

@@ -103,6 +103,7 @@ pub fn build() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serial;
 
     fn series_y(fig: &Figure, label_substr: &str) -> Vec<f64> {
         fig.panels[0]
@@ -116,6 +117,7 @@ mod tests {
 
     #[test]
     fn uniform_work_everyone_near_bound() {
+        let _turn = serial();
         let fig = build();
         for s in &fig.panels[0].series {
             assert!(
@@ -129,6 +131,7 @@ mod tests {
 
     #[test]
     fn static_diverges_with_skew() {
+        let _turn = serial();
         let fig = build();
         let stat = series_y(&fig, "static");
         assert!(
@@ -144,6 +147,7 @@ mod tests {
 
     #[test]
     fn dynamic_and_stealing_stay_near_bound() {
+        let _turn = serial();
         let fig = build();
         for label in ["dynamic", "stealing"] {
             let y = series_y(&fig, label);
@@ -157,6 +161,7 @@ mod tests {
 
     #[test]
     fn adaptive_split_stays_near_bound() {
+        let _turn = serial();
         let fig = build();
         let y = series_y(&fig, "adaptive split");
         assert!(
@@ -168,6 +173,7 @@ mod tests {
 
     #[test]
     fn guided_beats_static_under_heavy_skew() {
+        let _turn = serial();
         let fig = build();
         let stat = series_y(&fig, "static (GNU/NVC)");
         let guided = series_y(&fig, "guided");
@@ -181,6 +187,7 @@ mod tests {
 
     #[test]
     fn ranking_flips_relative_to_uniform() {
+        let _turn = serial();
         // At skew 1 static is best (zero overhead); at 50x it is worst —
         // the inversion the paper's uniform kernels cannot show.
         let fig = build();

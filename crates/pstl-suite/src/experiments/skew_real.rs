@@ -221,6 +221,7 @@ pub fn build_figure(bench: &BenchPartitioner) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serial;
 
     #[test]
     fn skewed_costs_shape() {
@@ -234,6 +235,7 @@ mod tests {
 
     #[test]
     fn uniform_dispatch_adaptive_at_most_static_plan() {
+        let _turn = serial();
         // ISSUE acceptance: on uniform input the adaptive partitioner
         // dispatches no more task fragments than the static plan has
         // tasks. (The static row's *executed* count can differ from its
@@ -264,6 +266,7 @@ mod tests {
     /// we only guard the sign so CI stays robust to noisy runners.
     #[test]
     fn adaptive_beats_static_at_heavy_skew() {
+        let _turn = serial();
         let pool = build_pool(Discipline::WorkStealing, THREADS);
         let costs = skewed_costs(*FACTORS.last().unwrap());
         let stat = makespan(&policy_with(&pool, Partitioner::Static), &costs);

@@ -437,15 +437,7 @@ impl StreamDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// These tests measure real time on real threads; concurrent cases
-    /// on a small box would skew the row-vs-row ratios, so they take
-    /// turns.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::experiments::serial;
 
     #[test]
     fn doc_has_expected_shape_and_flow_balances() {

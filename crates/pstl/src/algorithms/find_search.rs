@@ -1,13 +1,13 @@
 //! `find` family — the paper's linear-search benchmark (§5.3).
 //!
 //! All searches here dispatch through the cooperative early-exit engine
-//! in [`crate::search`]: partitioner-aware chunks/claims scan
-//! left-to-right in poll blocks, the smallest matching index is folded
-//! through a shared min-CAS, and work positioned past a published match
-//! is skipped at claim points or aborted at the next poll. This
-//! reproduces both C++ semantics (the *first* match is returned,
-//! deterministically by position) and the stop-early behaviour whose
-//! scalability the paper's Fig. 4 measures.
+//! in [`crate::search`](mod@crate::search): partitioner-aware
+//! chunks/claims scan left-to-right in poll blocks, the smallest
+//! matching index is folded through a shared min-CAS, and work
+//! positioned past a published match is skipped at claim points or
+//! aborted at the next poll. This reproduces both C++ semantics (the
+//! *first* match is returned, deterministically by position) and the
+//! stop-early behaviour whose scalability the paper's Fig. 4 measures.
 
 use std::ops::Range;
 

@@ -5,8 +5,8 @@
 //! [`Plan::Sequential`], and otherwise decompose the index space through
 //! the policy's pool. How the decomposition happens is the policy's
 //! [`Partitioner`]: balanced plan-time chunks (see [`crate::chunk`]) for
-//! `Static`, or the run-time engines in [`crate::splitter`] for `Guided`
-//! and `Adaptive`. Shared decomposition helpers live here.
+//! `Static`, or the run-time engines of the private `splitter` module
+//! for `Guided` and `Adaptive`. Shared decomposition helpers live here.
 
 pub mod adjacent;
 pub mod copy_fill;

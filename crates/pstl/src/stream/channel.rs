@@ -1,6 +1,6 @@
 //! The bounded inter-stage channel of the streaming layer.
 //!
-//! Every edge of a pipeline is one [`Edge`]: a [`RingChannel`] whose
+//! Every edge of a pipeline is one `Edge`: a [`RingChannel`] whose
 //! slots carry *batches* of items, plus an item count that makes the
 //! edge's capacity exact in items. Capacity is the backpressure
 //! mechanism (a full edge stalls the producing stage, never blocks it
@@ -20,7 +20,7 @@
 //! *batches*, so after a successful reservation it is never truly full
 //! — but it can still refuse a push spuriously (a stale position read
 //! wraps its distance check, or a consumer is mid-pop on the slot), and
-//! then [`Edge::try_push`] hands the reservation back and reports the
+//! then `Edge::try_push` hands the reservation back and reports the
 //! push as failed. A hop costs one reservation, one ring CAS on each
 //! side and one release per *batch*, not per item.
 

@@ -14,6 +14,10 @@
 //! And it guards the kernel layer's ISA dispatch: CPU feature detection
 //! and every `#[target_feature]` clone live in `kernel/isa.rs`, which
 //! holds the one `unsafe` call site per clone and its safety argument.
+//!
+//! And it guards the sort leaf: the one `unsafe` block of `seq.rs` is the
+//! compare-exchange of `network_sort`, whose safety rests on the network
+//! tables; any other `unsafe` there fails the build.
 
 use std::path::Path;
 
@@ -194,5 +198,49 @@ fn isa_dispatch_lives_only_in_kernel_isa() {
         "ISA clones and CPU feature detection belong to kernel/isa.rs (`dispatch!`);\n\
          found them elsewhere:\n{}",
         offenders.join("\n")
+    );
+}
+
+/// The `(start, end)` line numbers (0-based, end exclusive) of the item
+/// that begins with the first line starting with `header` and ends at the
+/// next line that is exactly `}` (rustfmt closes a top-level item there).
+fn item_span(code: &str, header: &str) -> Option<(usize, usize)> {
+    let lines: Vec<&str> = code.lines().collect();
+    let start = lines.iter().position(|l| l.starts_with(header))?;
+    let len = lines[start..].iter().position(|l| *l == "}")?;
+    Some((start, start + len + 1))
+}
+
+#[test]
+fn seq_unsafe_is_only_the_network_compare_exchange() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let rel = "crates/pstl/src/seq.rs";
+    let src = std::fs::read_to_string(root.join(rel))
+        .unwrap_or_else(|e| panic!("guard lint cannot read {rel}: {e}"));
+    let code = strip_test_modules(&src);
+    let (start, end) = item_span(&code, "fn network_sort<")
+        .expect("guard lint cannot find `fn network_sort` in seq.rs; it would guard nothing");
+    let mut inside = 0;
+    let mut offenders = Vec::new();
+    for (lineno, line) in code.lines().enumerate() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("//") || !trimmed.contains("unsafe") {
+            continue;
+        }
+        if (start..end).contains(&lineno) {
+            inside += 1;
+        } else {
+            offenders.push(format!("{rel}:{}: {}", lineno + 1, line.trim()));
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "the only `unsafe` in seq.rs is network_sort's compare-exchange;\n\
+         found more (outside test modules):\n{}",
+        offenders.join("\n")
+    );
+    assert_eq!(
+        inside, 1,
+        "network_sort must hold exactly one `unsafe` block, its compare-exchange"
     );
 }
