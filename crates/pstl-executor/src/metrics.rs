@@ -39,6 +39,7 @@ pub struct PoolMetrics {
     jobs_shed: AtomicU64,
     jobs_retried: AtomicU64,
     jobs_deadline_expired: AtomicU64,
+    jobs_caller_run: AtomicU64,
     stage_push_waits: AtomicU64,
     items_dropped: AtomicU64,
 }
@@ -108,6 +109,10 @@ pub struct MetricsSnapshot {
     /// from `cancelled_tasks`, which counts work cancelled *during*
     /// execution.
     pub jobs_deadline_expired: u64,
+    /// Job executions the service ran on a client thread blocked in
+    /// `JobHandle::wait` (caller-runs) instead of on a worker. A count
+    /// of where bodies ran, outside the job conservation law.
+    pub jobs_caller_run: u64,
     /// Times a streaming stage failed to push a batch into an
     /// inter-stage edge without room for all of it and had to stall the
     /// batch (backpressure events; one per failed batch push, not per
@@ -154,6 +159,7 @@ impl MetricsSnapshot {
             jobs_shed: self.jobs_shed - earlier.jobs_shed,
             jobs_retried: self.jobs_retried - earlier.jobs_retried,
             jobs_deadline_expired: self.jobs_deadline_expired - earlier.jobs_deadline_expired,
+            jobs_caller_run: self.jobs_caller_run - earlier.jobs_caller_run,
             stage_push_waits: self.stage_push_waits - earlier.stage_push_waits,
             items_dropped: self.items_dropped - earlier.items_dropped,
         }
@@ -250,6 +256,11 @@ impl PoolMetrics {
         self.jobs_retried.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record `n` job executions run by a waiting caller.
+    pub fn record_jobs_caller_run(&self, n: u64) {
+        self.jobs_caller_run.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Record `push_waits` backpressure stalls and `dropped` in-flight
     /// items discarded by a streaming pipeline region.
     pub fn record_stream(&self, push_waits: u64, dropped: u64) {
@@ -280,6 +291,7 @@ impl PoolMetrics {
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
             jobs_deadline_expired: self.jobs_deadline_expired.load(Ordering::Relaxed),
+            jobs_caller_run: self.jobs_caller_run.load(Ordering::Relaxed),
             stage_push_waits: self.stage_push_waits.load(Ordering::Relaxed),
             items_dropped: self.items_dropped.load(Ordering::Relaxed),
         }
@@ -297,8 +309,9 @@ pub enum HistKind {
     StealLatency,
     /// Number of indices in an executed task/claimed chunk.
     ClaimSize,
-    /// Wall time a service job spent queued between admission and
-    /// dispatch onto a worker, in nanoseconds.
+    /// Wall time a service job spent queued between admission and the
+    /// start of its execution on a worker or a waiting caller, in
+    /// nanoseconds.
     QueueWait,
 }
 
@@ -549,6 +562,11 @@ impl MetricsSink {
         self.counters.record_job_retried();
     }
 
+    /// See [`PoolMetrics::record_jobs_caller_run`].
+    pub fn record_jobs_caller_run(&self, n: u64) {
+        self.counters.record_jobs_caller_run(n);
+    }
+
     /// See [`PoolMetrics::record_stream`].
     pub fn record_stream(&self, push_waits: u64, dropped: u64) {
         self.counters.record_stream(push_waits, dropped);
@@ -588,6 +606,7 @@ mod tests {
         m.record_job_shed(false);
         m.record_job_shed(true);
         m.record_job_retried();
+        m.record_jobs_caller_run(3);
         m.record_stream(4, 2);
         m.record_stream(1, 0);
         let s = m.snapshot();
@@ -611,6 +630,7 @@ mod tests {
         assert_eq!(s.jobs_shed, 2);
         assert_eq!(s.jobs_retried, 1);
         assert_eq!(s.jobs_deadline_expired, 1);
+        assert_eq!(s.jobs_caller_run, 3);
         assert_eq!(s.stage_push_waits, 5);
         assert_eq!(s.items_dropped, 2);
     }

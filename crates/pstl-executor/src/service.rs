@@ -27,7 +27,11 @@
 //!   to request traffic: consecutive same-class jobs whose cost hint is
 //!   below [`BatchPolicy::tiny_cost`] are dispatched as one pool task,
 //!   so per-task scheduling overhead cannot dominate at high offered
-//!   load.
+//!   load;
+//! * **caller-runs** — a client blocked in [`JobHandle::wait`] on a job
+//!   that is next in line runs it on its own thread instead of sleeping
+//!   through three thread hops (the runtime's master-participates rule,
+//!   applied to the one thread certainly idle: the one waiting).
 //!
 //! Every admission decision feeds the runtime core's counters
 //! (`jobs_admitted` / `jobs_rejected` / `jobs_shed` / `jobs_retried` /
@@ -235,15 +239,22 @@ impl Default for BatchPolicy {
 /// Configuration of a [`JobService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads executing jobs (at least 1; the dispatcher thread
-    /// is separate and never executes bodies).
+    /// Worker threads executing jobs (at least 1). `submit` wakes one
+    /// while fewer than `threads` pull tasks are pending or running;
+    /// the dispatcher thread is separate and never executes bodies. A
+    /// client blocked in [`JobHandle::wait`] may run its own job on its
+    /// own thread, so bodies also execute on client threads — all of
+    /// them within [`dispatch_window`](Self::dispatch_window).
     pub threads: usize,
     /// Maximum jobs queued (all classes plus pending retries). Beyond
     /// this, admission displaces lower-priority jobs or refuses.
     pub queue_cap: usize,
     /// Maximum jobs per tenant admitted and not yet resolved.
     pub tenant_quota: usize,
-    /// Maximum jobs dispatched onto workers at once.
+    /// Maximum jobs taken for execution at once, whether by a worker or
+    /// by a waiting caller (see [`JobHandle::wait`]). At most this many
+    /// bodies execute concurrently: a tiny batch counts each of its jobs
+    /// against the window but runs them one after another.
     pub dispatch_window: usize,
     /// Queue depth at which the service enters shedding mode and
     /// refuses new [`Priority::Low`] work.
@@ -288,7 +299,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the dispatch window (max jobs on workers at once).
+    /// Set the dispatch window (max jobs executing at once, on workers
+    /// and waiting callers together).
     pub fn with_dispatch_window(mut self, window: usize) -> Self {
         self.dispatch_window = window.max(1);
         self
@@ -379,6 +391,9 @@ pub struct JobHandle<T> {
     id: u64,
     token: CancelToken,
     future: Future<(JobOutcome<T>, Instant)>,
+    /// Lets a waiter run its own job (see [`wait`](Self::wait)). Safe to
+    /// hold past the service: [`Shared`] does not own the pool.
+    shared: Arc<Shared>,
 }
 
 impl<T> std::fmt::Debug for JobHandle<T> {
@@ -409,6 +424,17 @@ impl<T> JobHandle<T> {
     }
 
     /// Block until the job resolves.
+    ///
+    /// Caller-runs: if the job is still queued and the batch a worker
+    /// would take next holds it (same class order, dispatch window,
+    /// cancelled-head shedding and tiny-job batching as a worker), the
+    /// caller takes that batch and runs it on its own thread, with the
+    /// same panic envelope, retry path and counters. It tries once,
+    /// before blocking; otherwise it just blocks. A waiter therefore
+    /// never jumps priority order nor runs another client's long job,
+    /// and caller-run bodies count against
+    /// [`ServiceConfig::dispatch_window`] like any other. A body that
+    /// panics on the caller's thread is retried on a worker.
     pub fn wait(self) -> JobOutcome<T> {
         self.wait_timed().0
     }
@@ -416,8 +442,13 @@ impl<T> JobHandle<T> {
     /// Block until the job resolves, also returning the instant the
     /// terminal state was reached (for latency accounting in load
     /// generators: `resolved - submitted` is the client-visible
-    /// latency even when the caller harvests handles late).
+    /// latency even when the caller harvests handles late). Runs the
+    /// job on the caller's thread under the same rule as
+    /// [`wait`](Self::wait).
     pub fn wait_timed(self) -> (JobOutcome<T>, Instant) {
+        if !self.future.is_ready() {
+            self.shared.run_own(self.id);
+        }
         match self.future.try_wait() {
             Ok(v) => v,
             // Unreachable by construction — the service resolves every
@@ -457,6 +488,7 @@ pub struct ServiceStats {
     cancelled: AtomicU64,
     failed: AtomicU64,
     retries: AtomicU64,
+    caller_runs: AtomicU64,
     class: [ClassCounters; 3],
 }
 
@@ -489,6 +521,10 @@ pub struct ServiceStatsSnapshot {
     pub failed: u64,
     /// Retry re-queues (bounded by `admitted * max_retries`).
     pub retries: u64,
+    /// Job executions run by a client blocked in [`JobHandle::wait`]
+    /// rather than by a worker. A count of where bodies ran, not part
+    /// of the conservation law.
+    pub caller_runs: u64,
     /// Terminal outcomes by class, in [`Priority::ALL`] order.
     pub per_class: [ClassStatsSnapshot; 3],
 }
@@ -555,6 +591,7 @@ impl ServiceStats {
             cancelled: self.cancelled.load(o),
             failed: self.failed.load(o),
             retries: self.retries.load(o),
+            caller_runs: self.caller_runs.load(o),
             per_class: [class(0), class(1), class(2)],
         }
     }
@@ -625,8 +662,16 @@ struct Inner {
     classes: [VecDeque<QueuedJob>; 3],
     /// Jobs awaiting their backoff, unordered (scanned for due ones).
     retries: Vec<RetryEntry>,
-    /// Jobs dispatched onto workers and not yet resolved/re-queued.
+    /// Batches the dispatcher took while every pull task was busy: in
+    /// flight, not queued. The next free pull task runs them in order,
+    /// or the waiting owner of a job in one takes that batch.
+    staged: VecDeque<Vec<QueuedJob>>,
+    /// Jobs taken for execution (running, or staged) and not yet
+    /// resolved/re-queued.
     in_flight: usize,
+    /// Pull tasks ([`Shared::run_batch`]) pending or running on the
+    /// pool, at most `threads`.
+    pulls: usize,
     /// Admitted-unresolved jobs per tenant.
     tenants: HashMap<u64, usize>,
     shutdown: bool,
@@ -635,6 +680,12 @@ struct Inner {
 impl Inner {
     fn queued(&self) -> usize {
         self.classes.iter().map(VecDeque::len).sum::<usize>() + self.retries.len()
+    }
+
+    /// Whether a class queue holds work (retries still backing off do
+    /// not count: the dispatcher's timer owns them).
+    fn has_queued(&self) -> bool {
+        self.classes.iter().any(|c| !c.is_empty())
     }
 
     fn is_drained(&self) -> bool {
@@ -654,14 +705,17 @@ impl Inner {
 struct Shared {
     cfg: ServiceConfig,
     /// The pool's core (metrics, faults) — deliberately NOT the pool
-    /// itself. Worker task closures hold `Arc<Shared>`; if `Shared`
-    /// owned the pool, a worker dropping the last reference would drop
-    /// the pool from a worker thread and self-join. The pool is owned
-    /// by [`JobService`] (and, while it runs, the dispatcher thread).
+    /// itself. Worker task closures and [`JobHandle`]s hold
+    /// `Arc<Shared>`; if `Shared` owned the pool, a worker dropping the
+    /// last reference would drop the pool from a worker thread and
+    /// self-join. The pool is owned by [`JobService`] (and, while it
+    /// runs, the dispatcher thread).
     core: Arc<crate::runtime::RuntimeCore>,
     inner: Mutex<Inner>,
-    /// Signaled on submission, completion, retry re-queue, shutdown —
-    /// anything the dispatcher or a `join` waiter cares about.
+    /// Wakes the dispatcher: a slot freed while jobs are queued, a retry
+    /// re-queued, a shed, shutdown. `submit` does not signal it (it
+    /// wakes a worker instead), and `join`/`shutdown` poll it every
+    /// millisecond rather than rely on a signal.
     cond: Condvar,
     /// Arc'd so the typed run closures can bump terminal counters
     /// *before* resolving their promise (the accounting law must
@@ -721,12 +775,18 @@ impl Shared {
         let mut inner = self.inner.lock();
         inner.in_flight -= 1;
         inner.tenant_release(job.tenant);
+        // The freed slot matters to the dispatcher only if work waits
+        // for one; a wake with empty queues would find nothing to do.
+        let wake = inner.has_queued();
         drop(inner);
-        self.cond.notify_all();
+        if wake {
+            self.cond.notify_all();
+        }
     }
 
-    /// Execute one dispatched job on a worker: run the body (panic
-    /// containment inside), then either settle it or re-queue a retry.
+    /// Execute one dispatched job on a worker or a waiting caller: run
+    /// the body (panic containment inside), then either settle it or
+    /// re-queue a retry.
     fn execute_one(self: &Arc<Self>, mut job: QueuedJob) {
         if job.token.is_cancelled() {
             // Tripped between dispatch and execution: the job *was*
@@ -792,38 +852,50 @@ impl Shared {
     /// task per batch is the point, a per-job window check would defeat
     /// it under tight windows). Cancelled-in-queue jobs encountered on
     /// the way are returned separately — they are sheds, not
-    /// dispatches.
-    fn pop_batch(&self, inner: &mut Inner) -> (Vec<QueuedJob>, Vec<QueuedJob>) {
-        let mut batch = Vec::new();
+    /// dispatches. With `own`, the batch is popped only if it holds job
+    /// `own` (the caller-runs rule); otherwise nothing is.
+    fn pop_batch(&self, inner: &mut Inner, own: Option<u64>) -> (Vec<QueuedJob>, Vec<QueuedJob>) {
         let mut sheds = Vec::new();
-        while batch.is_empty() && inner.in_flight < self.cfg.dispatch_window {
+        while inner.in_flight < self.cfg.dispatch_window {
             let Some(class_idx) = (0..3).rev().find(|&c| !inner.classes[c].is_empty()) else {
                 break;
             };
-            let first = inner.classes[class_idx].pop_front().expect("non-empty");
-            if first.token.is_cancelled() {
+            let queue = &mut inner.classes[class_idx];
+            if queue[0].token.is_cancelled() {
                 // Expired between sweeps: still in queue, so this is a
                 // shed, not an executed-then-cancelled job.
-                sheds.push(first);
+                sheds.extend(queue.pop_front());
                 continue;
             }
-            let batch_tiny = first.tiny;
-            batch.push(first);
-            if batch_tiny {
-                while batch.len() < self.cfg.batch.max_batch
-                    && inner.classes[class_idx]
-                        .front()
-                        .is_some_and(|j| j.tiny && !j.token.is_cancelled())
-                {
-                    batch.push(inner.classes[class_idx].pop_front().expect("checked"));
-                }
+            let len = if queue[0].tiny {
+                1 + queue
+                    .iter()
+                    .skip(1)
+                    .take(self.cfg.batch.max_batch.saturating_sub(1))
+                    .take_while(|j| j.tiny && !j.token.is_cancelled())
+                    .count()
+            } else {
+                1
+            };
+            if own.is_some_and(|id| !queue.iter().take(len).any(|j| j.id == id)) {
+                break;
             }
-            inner.in_flight += batch.len();
+            let batch: Vec<QueuedJob> = queue.drain(..len).collect();
+            inner.in_flight += len;
+            return (batch, sheds);
         }
-        (batch, sheds)
+        (Vec::new(), sheds)
     }
 
-    /// Record the admission→dispatch wait of every job in a batch.
+    /// Resolve jobs found cancelled in queue as sheds.
+    fn shed_cancelled(&self, sheds: Vec<QueuedJob>) {
+        for job in sheds {
+            let reason = job.cancel_shed_reason();
+            self.resolve_terminal(job, Terminal::Shed(reason));
+        }
+    }
+
+    /// Record the admission→execution wait of every job in a batch.
     fn observe_queue_wait(&self, batch: &[QueuedJob]) {
         let now = Instant::now();
         for job in batch {
@@ -834,39 +906,96 @@ impl Shared {
         }
     }
 
-    /// Run a dispatched batch, then keep pulling work while the window
-    /// has room — direct handoff. The worker that just freed a slot
-    /// takes the next highest-priority job itself, so under overload
-    /// the top class's latency is bounded by one residual service time
-    /// rather than by dispatcher wakeups, which on a saturated machine
-    /// cost scheduler latency per hop.
-    fn run_batch(self: &Arc<Self>, batch: Vec<QueuedJob>) {
+    /// Run a batch taken for execution on this thread.
+    fn execute_batch(self: &Arc<Self>, batch: Vec<QueuedJob>) {
+        self.observe_queue_wait(&batch);
         for job in batch {
             self.execute_one(job);
         }
+    }
+
+    /// A pull task: take work until none is dispatchable — staged
+    /// batches first (the dispatcher took them earlier), then the class
+    /// queues under [`pop_batch`](Self::pop_batch)'s rules. The worker
+    /// that frees a slot takes the next highest-priority job itself, so
+    /// under overload the top class's latency is bounded by one residual
+    /// service time rather than by dispatcher wakeups. The task gives
+    /// up its pull slot under the same lock that found nothing to take:
+    /// a job queued after that sees the free slot in `submit`, which
+    /// schedules a fresh pull task, so no job is stranded.
+    fn run_batch(self: &Arc<Self>) {
         loop {
             let (batch, sheds) = {
                 let mut inner = self.inner.lock();
-                if inner.shutdown {
+                let taken = match inner.staged.pop_front() {
+                    Some(batch) => (batch, Vec::new()),
                     // The dispatcher owns shutdown draining: queued
                     // jobs are shed there, not executed here.
-                    return;
+                    None if inner.shutdown => (Vec::new(), Vec::new()),
+                    None => self.pop_batch(&mut inner, None),
+                };
+                if taken.0.is_empty() {
+                    inner.pulls -= 1;
                 }
-                self.pop_batch(&mut inner)
+                taken
             };
-            for job in sheds {
-                let reason = job.cancel_shed_reason();
-                self.resolve_terminal(job, Terminal::Shed(reason));
-            }
+            self.shed_cancelled(sheds);
             if batch.is_empty() {
                 return;
             }
-            self.observe_queue_wait(&batch);
-            for job in batch {
-                self.execute_one(job);
-            }
+            self.execute_batch(batch);
         }
     }
+
+    /// Caller-runs for the owner of job `id`, about to block on it: take
+    /// the staged batch holding it, or the next batch
+    /// [`pop_batch`](Self::pop_batch) would hand a worker if that batch
+    /// holds it, and run it on this thread. Once, without looping.
+    fn run_own(self: &Arc<Self>, id: u64) {
+        let (batch, sheds) = {
+            let mut inner = self.inner.lock();
+            if inner.shutdown {
+                return;
+            }
+            match inner
+                .staged
+                .iter()
+                .position(|b| b.iter().any(|j| j.id == id))
+            {
+                Some(i) => (
+                    inner.staged.remove(i).expect("position in range"),
+                    Vec::new(),
+                ),
+                None => self.pop_batch(&mut inner, Some(id)),
+            }
+        };
+        self.shed_cancelled(sheds);
+        if batch.is_empty() {
+            return;
+        }
+        // Counted before the bodies run, so the count already holds
+        // when the waiter observes the outcome.
+        let n = batch.len() as u64;
+        self.stats.caller_runs.fetch_add(n, Ordering::Relaxed);
+        self.core.metrics().record_jobs_caller_run(n);
+        self.execute_batch(batch);
+    }
+
+    /// Claim a pull slot under `inner` if fewer than `threads` pull
+    /// tasks are pending or running; the caller then spawns one with
+    /// [`spawn_pull`] after unlocking.
+    fn reserve_pull(&self, inner: &mut Inner) -> bool {
+        let free = inner.pulls < self.cfg.threads.max(1);
+        inner.pulls += usize::from(free);
+        free
+    }
+}
+
+/// Spawn a pull task whose slot [`Shared::reserve_pull`] claimed. Its
+/// future is dropped: each job resolves through its own promise.
+fn spawn_pull(shared: &Arc<Shared>, pool: &TaskPool) {
+    let shared = Arc::clone(shared);
+    drop(pool.spawn(move || shared.run_batch()));
 }
 
 // ---------------------------------------------------------------------
@@ -891,7 +1020,9 @@ pub struct JobService {
 
 impl JobService {
     /// Build a service with `cfg.threads` workers plus one dispatcher
-    /// thread.
+    /// thread (retry timers, the periodic deadline sweep, the shutdown
+    /// drain, and the fallback for queued work no pull task is left to
+    /// take).
     pub fn new(cfg: ServiceConfig) -> Self {
         // `TaskPool` follows master-participates semantics: a pool of
         // `t` threads has `t - 1` workers and expects the caller to
@@ -927,11 +1058,17 @@ impl JobService {
         JobService::new(ServiceConfig::new(threads))
     }
 
-    /// Submit a job. `f` runs on a pool worker with the job's
-    /// [`CancelToken`]; long bodies should poll it (or
-    /// [`bail`](CancelToken::bail)) at natural boundaries. `f` may run
-    /// more than once under the retry policy, so it must be `Fn`, and
-    /// it must be idempotent under retry or tolerate re-execution.
+    /// Submit a job. `f` runs with the job's [`CancelToken`] on a pool
+    /// worker, or on the caller's thread if the caller reaches
+    /// [`JobHandle::wait`] while the job is next in line; long bodies
+    /// should poll the token (or [`bail`](CancelToken::bail)) at
+    /// natural boundaries. `f` may run more than once under the retry
+    /// policy, so it must be `Fn`, and it must be idempotent under
+    /// retry or tolerate re-execution.
+    ///
+    /// Admission wakes a worker directly — it schedules a pull task
+    /// while fewer than [`ServiceConfig::threads`] are pending or
+    /// running — and never the dispatcher.
     ///
     /// Returns the handle on admission, or a typed [`Rejected`] error.
     pub fn submit<T, F>(&self, spec: JobSpec, f: F) -> Result<JobHandle<T>, Rejected>
@@ -1011,6 +1148,7 @@ impl JobService {
         };
         inner.classes[spec.priority.index()].push_back(job);
         *inner.tenants.entry(spec.tenant).or_insert(0) += 1;
+        let wake_worker = shared.reserve_pull(&mut inner);
         drop(inner);
 
         let o = Ordering::Relaxed;
@@ -1022,8 +1160,15 @@ impl JobService {
         if let Some(victim) = displaced {
             shared.resolve_terminal(victim, Terminal::Shed(ShedReason::Overload));
         }
-        shared.cond.notify_all();
-        Ok(JobHandle { id, token, future })
+        if wake_worker {
+            spawn_pull(shared, &self.pool);
+        }
+        Ok(JobHandle {
+            id,
+            token,
+            future,
+            shared: Arc::clone(shared),
+        })
     }
 
     /// Block until every admitted job has resolved (queue, retries and
@@ -1194,21 +1339,23 @@ where
 // ---------------------------------------------------------------------
 
 /// The dispatcher thread: moves due retries back to their class queues,
-/// sheds expired-in-queue jobs, and dispatches High → Normal → Low onto
-/// the pool while the in-flight window has room, batching consecutive
-/// tiny same-class jobs into one pool task.
+/// sheds expired-in-queue jobs on a timer, drains the queues on
+/// shutdown, and — as a fallback — stages work the window has room for
+/// but no pull loop takes: after a slot frees outside a pull loop (a
+/// caller-run job, say), when a retry comes due, or while every pull
+/// task is busy. Submission and completion go straight to the workers
+/// and waiting callers; the dispatcher is not on that path.
 fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
     // Expired-in-queue jobs surface two ways: a cheap token check as
     // each job is popped for dispatch, and a periodic full sweep for
     // jobs parked deep in a backlogged queue. The full sweep is
     // O(queue) under the lock, so it runs on a timer rather than on
-    // every wake — under overload the queues sit at the watermark and
-    // the dispatcher's reaction time is the high class's latency floor.
+    // every wake.
     const SWEEP_PERIOD: Duration = Duration::from_millis(5);
     let mut next_sweep = Instant::now();
     loop {
         let mut sheds: Vec<QueuedJob> = Vec::new();
-        let mut batches: Vec<Vec<QueuedJob>> = Vec::new();
+        let mut spawns = 0;
         let shutting_down;
         {
             let mut inner = shared.inner.lock();
@@ -1250,19 +1397,21 @@ fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
                 }
             }
 
-            // Dispatch while the window has room, highest class first
-            // (see `pop_batch` for the batching/window rules).
+            // Stage while the window has room, highest class first
+            // (see `pop_batch` for the batching/window rules), and wake
+            // a worker for each batch while pull slots are free.
             loop {
-                let (batch, popped_sheds) = shared.pop_batch(&mut inner);
+                let (batch, popped_sheds) = shared.pop_batch(&mut inner, None);
                 sheds.extend(popped_sheds);
                 if batch.is_empty() {
                     break;
                 }
-                batches.push(batch);
+                inner.staged.push_back(batch);
+                spawns += usize::from(shared.reserve_pull(&mut inner));
             }
         }
 
-        // Outside the lock: resolve sheds and hand batches to the pool.
+        // Outside the lock: resolve sheds and start the pull tasks.
         for job in sheds {
             let reason = if shutting_down {
                 ShedReason::Shutdown
@@ -1271,22 +1420,15 @@ fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
             };
             shared.resolve_terminal(job, Terminal::Shed(reason));
         }
-        for batch in batches {
-            let shared = Arc::clone(shared);
-            let size = batch.len() as u64;
-            shared.observe_queue_wait(&batch);
-            // The batch future is intentionally dropped: each job
-            // resolves through its own promise. The worker keeps
-            // pulling further work after the batch (direct handoff).
-            drop(Arc::clone(pool).spawn_sized(size, move || shared.run_batch(batch)));
+        for _ in 0..spawns {
+            spawn_pull(shared, pool);
         }
 
         let mut inner = shared.inner.lock();
         if inner.shutdown && inner.queued() == 0 {
             return;
         }
-        let dispatchable = inner.in_flight < shared.cfg.dispatch_window
-            && inner.classes.iter().any(|c| !c.is_empty());
+        let dispatchable = inner.in_flight < shared.cfg.dispatch_window && inner.has_queued();
         if !dispatchable {
             // Nothing dispatchable right now: the class queues are
             // empty (possibly with retries still backing off), or the
@@ -1770,6 +1912,290 @@ mod tests {
         assert_eq!(s.failed, 1);
         assert_eq!(s.retries, 0, "shutdown denies the retry budget");
         assert!(s.accounting_balanced());
+    }
+
+    /// Occupy the service pool's only worker with a raw pool task — not
+    /// a job, so it holds no dispatch slot — until the returned flag is
+    /// set. Pull tasks queue behind it, so a queued job can only run on
+    /// its waiter's thread while the plug holds.
+    fn plug_pool(svc: &JobService) -> (Arc<std::sync::atomic::AtomicBool>, Future<()>) {
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let r = Arc::clone(&release);
+        let plug = svc.pool().spawn(move || {
+            while !r.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        });
+        (release, plug)
+    }
+
+    #[test]
+    fn waiter_runs_its_own_queued_job_on_its_own_thread() {
+        let svc = JobService::with_threads(1);
+        let (release, plug) = plug_pool(&svc);
+        let h = svc
+            .submit(JobSpec::default(), |_| std::thread::current().id())
+            .unwrap();
+        assert_eq!(h.wait().completed(), Some(std::thread::current().id()));
+        release.store(true, Ordering::Release);
+        plug.wait();
+        svc.join();
+        let s = svc.stats();
+        assert_eq!(s.caller_runs, 1);
+        assert_eq!(svc.metrics().jobs_caller_run, 1);
+        assert!(s.accounting_balanced());
+    }
+
+    /// Bodies that count how many of them execute at once.
+    #[derive(Clone, Default)]
+    struct Occupancy {
+        running: Arc<std::sync::atomic::AtomicUsize>,
+        peak: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Occupancy {
+        fn enter(&self) {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+        }
+
+        fn exit(&self) {
+            self.running.fetch_sub(1, Ordering::SeqCst);
+        }
+
+        fn peak(&self) -> usize {
+            self.peak.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn waiter_with_a_full_window_runs_nothing() {
+        let svc = Arc::new(JobService::new(
+            ServiceConfig::new(1).with_dispatch_window(1),
+        ));
+        let occ = Occupancy::default();
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let plug_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let blocker = {
+            let (occ, g, done) = (occ.clone(), Arc::clone(&gate), Arc::clone(&plug_done));
+            svc.submit(JobSpec::default(), move |_| {
+                occ.enter();
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                done.store(true, Ordering::Release);
+                occ.exit();
+            })
+            .unwrap()
+        };
+        while svc.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        // The blocker holds the only slot, so no waiter may take its
+        // job — on its own thread or anywhere — until the blocker ends.
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let (svc, occ, done) = (Arc::clone(&svc), occ.clone(), Arc::clone(&plug_done));
+                std::thread::spawn(move || {
+                    let h = svc
+                        .submit(JobSpec::default(), move |_| {
+                            occ.enter();
+                            let after_plug = done.load(Ordering::Acquire);
+                            occ.exit();
+                            after_plug
+                        })
+                        .unwrap();
+                    h.wait().completed().expect("completes after release")
+                })
+            })
+            .collect();
+        while svc.queue_depth() < 3 {
+            std::thread::yield_now();
+        }
+        // Not needed for the assertions, which hold in any order: it
+        // only makes it likely that every waiter has looked at the
+        // queue, found the window full, and blocked before the release.
+        std::thread::sleep(Duration::from_millis(20));
+        gate.store(true, Ordering::Release);
+        blocker.wait();
+        for w in waiters {
+            assert!(w.join().unwrap(), "a job started while the window was full");
+        }
+        svc.join();
+        assert_eq!(occ.peak(), 1, "more bodies ran at once than the window");
+        assert!(svc.stats().accounting_balanced());
+    }
+
+    #[test]
+    fn caller_runs_respect_the_dispatch_window() {
+        let svc = Arc::new(JobService::new(
+            ServiceConfig::new(1).with_dispatch_window(2),
+        ));
+        let occ = Occupancy::default();
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let (svc, occ) = (Arc::clone(&svc), occ.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..50 {
+                        let occ = occ.clone();
+                        let h = svc
+                            .submit(JobSpec::default(), move |_| {
+                                occ.enter();
+                                let t = Instant::now();
+                                while t.elapsed() < Duration::from_micros(20) {
+                                    std::hint::spin_loop();
+                                }
+                                occ.exit();
+                            })
+                            .unwrap();
+                        assert!(h.wait().completed().is_some());
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        svc.join();
+        assert!(
+            occ.peak() <= 2,
+            "{} bodies ran at once, window 2",
+            occ.peak()
+        );
+        let s = svc.stats();
+        assert_eq!(s.completed, 200);
+        assert!(s.accounting_balanced());
+    }
+
+    #[test]
+    fn waiter_never_jumps_a_higher_class() {
+        let svc = JobService::new(ServiceConfig::new(1).with_dispatch_window(2));
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let g = Arc::clone(&gate);
+        let blocker = svc
+            .submit(JobSpec::default(), move |_| {
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            })
+            .unwrap();
+        while svc.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let high = svc
+            .submit(JobSpec::default().priority(Priority::High), |_| {
+                std::thread::current().id()
+            })
+            .unwrap();
+        let shared = Arc::clone(&svc.shared);
+        let low = svc
+            .submit(JobSpec::default().priority(Priority::Low), move |_| {
+                shared.inner.lock().classes[Priority::High.index()].is_empty()
+            })
+            .unwrap();
+        let waiter = std::thread::spawn(move || {
+            let me = std::thread::current().id();
+            (me, low.wait().completed().expect("low completes"))
+        });
+        // Only makes it likely that the waiter looks while both jobs
+        // are queued; the assertions hold in any order.
+        std::thread::sleep(Duration::from_millis(20));
+        gate.store(true, Ordering::Release);
+        blocker.wait();
+        let (me, high_first) = waiter.join().unwrap();
+        let high_ran_on = high.wait().completed().expect("high completes");
+        assert!(
+            high_first,
+            "the low job was taken while the high one still queued"
+        );
+        assert_ne!(high_ran_on, me, "the low waiter ran another client's job");
+        svc.join();
+        assert!(svc.stats().accounting_balanced());
+    }
+
+    #[test]
+    fn panic_on_the_waiters_thread_retries_on_a_worker() {
+        let cfg = ServiceConfig::new(1).with_retry(RetryPolicy {
+            max_retries: 2,
+            base: Duration::from_micros(10),
+            cap: Duration::from_micros(100),
+            jitter_seed: 3,
+        });
+        let svc = JobService::new(cfg);
+        let me = std::thread::current().id();
+        let calls = Arc::new(AtomicU64::new(0));
+
+        // Panics on the waiter only: the retry runs on the worker, which
+        // the first attempt itself unplugs.
+        let (release, plug) = plug_pool(&svc);
+        let (c, r) = (Arc::clone(&calls), Arc::clone(&release));
+        let h = svc
+            .submit(JobSpec::default(), move |_| {
+                c.fetch_add(1, Ordering::Relaxed);
+                r.store(true, Ordering::Release);
+                let ran_on = std::thread::current().id();
+                assert_ne!(ran_on, me, "transient fault on the waiter");
+                ran_on
+            })
+            .unwrap();
+        let ran_on = h.wait().completed().expect("the retry completes");
+        assert_ne!(ran_on, me);
+        plug.wait();
+
+        // Panics everywhere: the caller-run attempt counts toward the
+        // budget like any other.
+        let (release, plug) = plug_pool(&svc);
+        let c = Arc::clone(&calls);
+        let h = svc
+            .submit(JobSpec::default(), move |_| {
+                c.fetch_add(1, Ordering::Relaxed);
+                release.store(true, Ordering::Release);
+                panic!("transient");
+            })
+            .unwrap();
+        assert_eq!(h.wait(), JobOutcome::<()>::Failed { attempts: 3 });
+        plug.wait();
+
+        svc.join();
+        let s = svc.stats();
+        assert_eq!(s.caller_runs, 2, "each first attempt ran on the waiter");
+        assert_eq!(s.retries, 1 + 2);
+        assert_eq!(calls.load(Ordering::Relaxed), 2 + 3);
+        assert_eq!((s.completed, s.failed), (1, 1));
+        assert_eq!(
+            s.admitted,
+            s.completed + s.shed_total() + s.cancelled + s.failed
+        );
+        assert!(s.accounting_balanced());
+        let m = svc.metrics();
+        assert_eq!(m.jobs_retried, s.retries);
+        assert_eq!(m.jobs_caller_run, s.caller_runs);
+    }
+
+    #[test]
+    fn nested_submit_and_wait_on_one_worker_completes() {
+        // With one worker running the outer job, the inner job can only
+        // run on the thread waiting for it. The scenario runs on its own
+        // thread so a deadlock fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let svc = Arc::new(JobService::new(ServiceConfig::new(1)));
+            // A weak handle, so the job never holds the last reference
+            // and drops the service (and its pool) from a worker.
+            let weak = Arc::downgrade(&svc);
+            let outer = svc
+                .submit(JobSpec::default(), move |_| {
+                    let svc = weak.upgrade().expect("service outlives its jobs");
+                    let inner = svc.submit(JobSpec::default(), |_| 21u32).unwrap();
+                    inner.wait().completed().map(|v| v * 2)
+                })
+                .unwrap();
+            let _ = tx.send(outer.wait());
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("submit + wait from inside a body deadlocked");
+        assert_eq!(outcome, JobOutcome::Completed(Some(42)));
     }
 
     #[test]

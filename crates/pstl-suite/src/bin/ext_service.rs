@@ -22,8 +22,16 @@ fn main() {
         doc.threads, doc.capacity_per_sec
     );
     println!(
-        "{:<16} {:>7} {:>9} {:>9} {:>9} {:>7} {:>12} {:>12}",
-        "row", "load", "submitted", "completed", "refused", "retried", "high p99 ms", "goodput/s"
+        "{:<16} {:>7} {:>9} {:>9} {:>9} {:>7} {:>10} {:>12} {:>12}",
+        "row",
+        "load",
+        "submitted",
+        "completed",
+        "refused",
+        "retried",
+        "caller-run",
+        "high p99 ms",
+        "goodput/s"
     );
     for row in &doc.rows {
         let refused =
@@ -37,13 +45,14 @@ fn main() {
             .map(|l| format!("{:.3}", l.p99_ns as f64 / 1e6))
             .unwrap_or_else(|| "-".into());
         println!(
-            "{:<16} {:>6.2}x {:>9} {:>9} {:>9} {:>7} {:>12} {:>12.0}",
+            "{:<16} {:>6.2}x {:>9} {:>9} {:>9} {:>7} {:>10} {:>12} {:>12.0}",
             row.name,
             row.load_factor,
             row.report.submitted,
             row.stats.completed,
             refused,
             row.retried,
+            row.stats.caller_runs,
             high_p99,
             row.report.completed_per_sec
         );
