@@ -123,8 +123,9 @@ impl CancelToken {
     /// The absolute deadline this token was armed with, if any.
     ///
     /// Lets observers that see a tripped token tell a genuine expiry
-    /// (deadline set and passed) from an explicit [`cancel`]
-    /// (Self::cancel) — the flag itself latches identically for both.
+    /// (deadline set and passed) from an explicit
+    /// [`cancel`](Self::cancel) — the flag itself latches identically
+    /// for both.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
     }

@@ -1,30 +1,20 @@
-//! A blocking one-shot future/promise pair and the futures-style executor
-//! built on it.
+//! A blocking one-shot future/promise pair.
 //!
 //! HPX exposes its parallel algorithms on top of futures; our
-//! [`TaskPool`](crate::TaskPool) does the same through
-//! [`TaskPool::spawn`](crate::TaskPool::spawn), which returns a [`Future`].
-//! This is a deliberately simple synchronous future (no `async`): `wait`
-//! blocks the calling thread until the promise is fulfilled.
+//! [`TaskPool`] does the same through [`TaskPool::spawn`], which returns
+//! a [`Future`]. This is a deliberately simple synchronous future (no
+//! `async`): `wait` blocks the calling thread until the promise is
+//! fulfilled. HPX's `async`/`when_all` idiom is spawning several
+//! closures and waiting on each future in turn; the job service's
+//! per-job handles are built on the same pair.
 //!
-//! [`FuturesPool`] is the executor-shaped version of that idiom: each
-//! parallel region becomes a handful of contiguous block futures submitted
-//! to an inner task pool and awaited by the caller — HPX's
-//! `async`/`when_all` chunking, as opposed to the task pool's
-//! one-task-per-index flood.
+//! [`TaskPool`]: crate::TaskPool
+//! [`TaskPool::spawn`]: crate::TaskPool::spawn
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
-use pstl_trace::EventKind;
-
-use crate::fault::FaultPlan;
-use crate::job::BodyPtr;
-use crate::runtime::{contain, RuntimeCore};
-use crate::task_pool::TaskPool;
-use crate::topology::Topology;
-use crate::{Discipline, Executor};
 
 /// The producer of a one-shot future went away without fulfilling it —
 /// typically because the closure backing the promise panicked and the
@@ -154,141 +144,10 @@ impl<T> Future<T> {
     }
 }
 
-/// Futures-style executor (the HPX `async`/`when_all` analog).
-///
-/// `run` splits the index space into a few contiguous blocks per thread,
-/// submits each block as a future on an inner [`TaskPool`], and awaits
-/// them all — helping drain the queue while it waits, so the calling
-/// thread participates like in every other pool. Scheduling counters and
-/// event traces are those of the inner pool (reported under the
-/// `futures` discipline label), which is what makes
-/// [`metrics`](Executor::metrics) return `Some` for this backend.
-pub struct FuturesPool {
-    inner: TaskPool,
-}
-
-/// Blocks per `run`: enough per thread that early-finishing workers can
-/// pick up more, few enough to stay far from one-task-per-index cost.
-const BLOCKS_PER_THREAD: usize = 4;
-
-impl FuturesPool {
-    /// A pool where `threads` threads (including the caller during `run`)
-    /// execute block futures.
-    pub fn new(threads: usize) -> Self {
-        FuturesPool::with_topology(Topology::flat(threads))
-    }
-
-    /// A pool carrying an explicit worker → node [`Topology`], forwarded
-    /// to the inner task pool.
-    pub fn with_topology(topology: Topology) -> Self {
-        Self::with_topology_faulted(topology, FaultPlan::none())
-    }
-
-    /// As [`with_topology`](Self::with_topology), with a fault plan
-    /// active from construction onwards. Spawn faults fire inside the
-    /// inner task pool's constructor (same fewer-workers fallback);
-    /// task faults fire inside this pool's block bodies.
-    pub fn with_topology_faulted(topology: Topology, plan: FaultPlan) -> Self {
-        FuturesPool {
-            inner: TaskPool::with_topology_faulted(topology, plan),
-        }
-    }
-}
-
-impl Executor for FuturesPool {
-    fn num_threads(&self) -> usize {
-        self.inner.num_threads()
-    }
-
-    fn run(&self, tasks: usize, body: &(dyn Fn(usize) + Sync)) {
-        if tasks == 0 {
-            return;
-        }
-        // The inner pool's caller lock serializes this run path with
-        // every other user of track 0 (including direct `run` calls on
-        // the inner pool, which cannot exist — the pool is private).
-        let (_guard, ctx) = self.inner.lock_run();
-        let core = self.inner.core();
-        let threads = core.threads();
-        if threads == 1 {
-            core.run_inline(tasks, body);
-            return;
-        }
-        core.metrics().record_run();
-        let rec = &ctx.rec;
-        rec.record(EventKind::RegionBegin {
-            tasks: tasks as u64,
-        });
-        let blocks = (threads * BLOCKS_PER_THREAD).min(tasks);
-        let ptr = BodyPtr::new(body);
-        let futures: Vec<Future<Result<(), Box<dyn std::any::Any + Send>>>> = (0..blocks)
-            .map(|b| {
-                let lo = tasks * b / blocks;
-                let hi = tasks * (b + 1) / blocks;
-                rec.record(EventKind::TaskSpawn {
-                    size: (hi - lo) as u64,
-                });
-                let faults = core.faults().hook();
-                // The panic is contained inside the block future (a
-                // worker must never unwind) and re-thrown on this thread
-                // below.
-                self.inner.spawn_sized((hi - lo) as u64, move || {
-                    contain(|| {
-                        for i in lo..hi {
-                            faults.on_task();
-                            // SAFETY: this `run` call blocks until every
-                            // block future resolves, keeping the body
-                            // borrow live.
-                            unsafe { ptr.call(i) };
-                        }
-                    })
-                })
-            })
-            .collect();
-
-        // Await all blocks, helping execute queued ones meanwhile.
-        while !futures.iter().all(Future::is_ready) {
-            if !self.inner.try_run_one(Some(rec)) {
-                std::thread::yield_now();
-            }
-        }
-        rec.record(EventKind::RegionEnd);
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for f in futures {
-            match f.try_wait() {
-                Ok(Ok(())) => {}
-                Ok(Err(payload)) => {
-                    first_panic.get_or_insert(payload);
-                }
-                // Unreachable through this path (blocks catch their own
-                // panics), but a broken block promise must still fail
-                // the region rather than hang or vanish.
-                Err(broken) => {
-                    first_panic.get_or_insert(Box::new(broken));
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            // Never re-throw while this thread is already unwinding —
-            // that aborts the process.
-            if !std::thread::panicking() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-
-    fn discipline(&self) -> Discipline {
-        Discipline::Futures
-    }
-
-    fn runtime_core(&self) -> Option<&RuntimeCore> {
-        Some(self.inner.core())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaskPool;
 
     #[test]
     fn set_then_wait() {
@@ -350,64 +209,5 @@ mod tests {
         // The worker thread survived and still executes tasks.
         let g = pool.spawn(|| 7);
         assert_eq!(g.wait(), 7);
-    }
-}
-
-#[cfg(test)]
-mod futures_pool_tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-
-    #[test]
-    fn covers_index_space_exactly_once() {
-        let pool = FuturesPool::new(4);
-        let n = 10_000;
-        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(n, &|i| {
-            counts[i].fetch_add(1, AtomicOrdering::Relaxed);
-        });
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(AtomicOrdering::Relaxed), 1, "index {i}");
-        }
-    }
-
-    #[test]
-    fn metrics_are_wired() {
-        let pool = FuturesPool::new(2);
-        pool.run(500, &|_| {});
-        let m = pool.metrics().expect("futures pool must report metrics");
-        assert_eq!(m.runs, 1);
-        // One executed task per block future.
-        assert_eq!(m.tasks_executed, 2 * super::BLOCKS_PER_THREAD as u64);
-    }
-
-    #[test]
-    fn small_runs_spawn_at_most_one_block_per_index() {
-        let pool = FuturesPool::new(4);
-        pool.run(3, &|_| {});
-        assert_eq!(pool.metrics().unwrap().tasks_executed, 3);
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let pool = FuturesPool::new(1);
-        let hits = AtomicUsize::new(0);
-        pool.run(100, &|_| {
-            hits.fetch_add(1, AtomicOrdering::Relaxed);
-        });
-        assert_eq!(hits.load(AtomicOrdering::Relaxed), 100);
-    }
-
-    #[test]
-    fn consecutive_runs_accumulate() {
-        let pool = FuturesPool::new(3);
-        for round in 1..=20u64 {
-            let hits = AtomicUsize::new(0);
-            pool.run(64, &|_| {
-                hits.fetch_add(1, AtomicOrdering::Relaxed);
-            });
-            assert_eq!(hits.load(AtomicOrdering::Relaxed), 64);
-            assert_eq!(pool.metrics().unwrap().runs, round);
-        }
     }
 }

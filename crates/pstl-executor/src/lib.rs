@@ -42,7 +42,7 @@ use std::sync::Arc;
 pub use cancel::{CancelToken, Cancelled};
 pub use fault::{FaultPlan, StealDelay};
 pub use fork_join::ForkJoinPool;
-pub use futures::{future_promise, BrokenPromise, Future, FuturesPool, Promise};
+pub use futures::{future_promise, BrokenPromise, Future, Promise};
 pub use latch::CountLatch;
 pub use metrics::{HistKind, HistSet, MetricsSink, MetricsSnapshot, PoolMetrics};
 pub use runtime::{Runtime, RuntimeCore, WorkerCtx, WorkerStrategy};
@@ -79,9 +79,8 @@ pub trait Executor: Send + Sync {
     /// recording hooks below (`record_split`, `record_claim`,
     /// `record_cancel`, `record_search`, `idle_workers`, snapshots,
     /// traces) are *defaulted through this method*, so a backend that
-    /// plugs a [`WorkerStrategy`](runtime::WorkerStrategy) into the
-    /// runtime gets all of them for free and cannot silently drop data
-    /// by forgetting to forward one.
+    /// plugs a [`WorkerStrategy`] into the runtime gets all of them for
+    /// free and cannot silently drop data by forgetting to forward one.
     fn runtime_core(&self) -> Option<&runtime::RuntimeCore> {
         None
     }
@@ -308,20 +307,16 @@ pub enum Discipline {
     WorkStealing,
     /// One heap-allocated task per index through a central queue (HPX).
     TaskPool,
-    /// Contiguous blocks submitted as futures that the caller awaits
-    /// (HPX's `async`/`when_all` idiom over the same central queue).
-    Futures,
 }
 
 impl Discipline {
-    /// The four runtime-backed pools (every discipline but
+    /// The three runtime-backed pools (every discipline but
     /// `Sequential`), in stable report order — the axis every test
     /// matrix iterates.
-    pub const POOLS: [Discipline; 4] = [
+    pub const POOLS: [Discipline; 3] = [
         Discipline::ForkJoin,
         Discipline::WorkStealing,
         Discipline::TaskPool,
-        Discipline::Futures,
     ];
 
     /// Stable lowercase name, used in bench labels and JSON output.
@@ -331,7 +326,6 @@ impl Discipline {
             Discipline::ForkJoin => "fork_join",
             Discipline::WorkStealing => "work_stealing",
             Discipline::TaskPool => "task_pool",
-            Discipline::Futures => "futures",
         }
     }
 }
@@ -370,7 +364,6 @@ pub fn build_pool_faulted(
             Arc::new(WorkStealingPool::with_topology_faulted(topology, plan))
         }
         Discipline::TaskPool => Arc::new(TaskPool::with_topology_faulted(topology, plan)),
-        Discipline::Futures => Arc::new(FuturesPool::with_topology_faulted(topology, plan)),
     }
 }
 
@@ -413,7 +406,6 @@ mod tests {
         assert_eq!(Discipline::ForkJoin.name(), "fork_join");
         assert_eq!(Discipline::WorkStealing.name(), "work_stealing");
         assert_eq!(Discipline::TaskPool.name(), "task_pool");
-        assert_eq!(Discipline::Futures.name(), "futures");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! Adding a counter means editing `metrics.rs` (the counter) and this
 //! file (the call site) — no pool file changes, and the counter appears
 //! in every pool's `SchedDelta` JSON because the harness serializes
-//! [`MetricsSnapshot`](crate::metrics::MetricsSnapshot) wholesale.
+//! [`MetricsSnapshot`] wholesale.
 //! Adding a backend means writing a strategy; see `fork_join.rs` for
 //! the smallest one (none of it lifecycle).
 
@@ -242,7 +242,7 @@ impl RuntimeCore {
         self.signal.notify_all();
     }
 
-    /// Current signal epoch (pass to [`park`](Self::park) after a dry
+    /// Current signal epoch (a worker passes it to `park` after a dry
     /// `try_work`, read *before* looking for work so a concurrent
     /// `notify` cannot be missed).
     pub fn epoch(&self) -> usize {

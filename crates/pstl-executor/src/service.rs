@@ -662,16 +662,15 @@ struct Inner {
     classes: [VecDeque<QueuedJob>; 3],
     /// Jobs awaiting their backoff, unordered (scanned for due ones).
     retries: Vec<RetryEntry>,
-    /// Batches the dispatcher took while every pull task was busy: in
-    /// flight, not queued. The next free pull task runs them in order,
-    /// or the waiting owner of a job in one takes that batch.
-    staged: VecDeque<Vec<QueuedJob>>,
-    /// Jobs taken for execution (running, or staged) and not yet
-    /// resolved/re-queued.
+    /// Jobs taken for execution — running on a worker or on a waiting
+    /// caller — and not yet resolved/re-queued.
     in_flight: usize,
     /// Pull tasks ([`Shared::run_batch`]) pending or running on the
     /// pool, at most `threads`.
     pulls: usize,
+    /// Of `pulls`, those running a batch: they take no other work
+    /// until it ends.
+    busy_pulls: usize,
     /// Admitted-unresolved jobs per tenant.
     tenants: HashMap<u64, usize>,
     shutdown: bool,
@@ -680,12 +679,6 @@ struct Inner {
 impl Inner {
     fn queued(&self) -> usize {
         self.classes.iter().map(VecDeque::len).sum::<usize>() + self.retries.len()
-    }
-
-    /// Whether a class queue holds work (retries still backing off do
-    /// not count: the dispatcher's timer owns them).
-    fn has_queued(&self) -> bool {
-        self.classes.iter().any(|c| !c.is_empty())
     }
 
     fn is_drained(&self) -> bool {
@@ -712,7 +705,7 @@ struct Shared {
     /// runs, the dispatcher thread).
     core: Arc<crate::runtime::RuntimeCore>,
     inner: Mutex<Inner>,
-    /// Wakes the dispatcher: a slot freed while jobs are queued, a retry
+    /// Wakes the dispatcher: a slot freed for its fallback, a retry
     /// re-queued, a shed, shutdown. `submit` does not signal it (it
     /// wakes a worker instead), and `join`/`shutdown` poll it every
     /// millisecond rather than rely on a signal.
@@ -726,9 +719,13 @@ struct Shared {
 impl Shared {
     /// Resolve a job as terminal and update every counter. Caller must
     /// have already removed the job from all queues; `inner` must NOT
-    /// be locked (finish closures take the promise lock).
+    /// be locked (finish closures take the promise lock). A shed job was
+    /// never taken for execution; a cancelled or failed one was, and
+    /// leaves `in_flight` only after its counters are bumped, so a
+    /// drained service always balances.
     fn resolve_terminal(&self, job: QueuedJob, terminal: Terminal) {
         let o = Ordering::Relaxed;
+        let taken = !matches!(terminal, Terminal::Shed(_));
         let class = &self.stats.class[job.priority.index()];
         match &terminal {
             Terminal::Shed(reason) => {
@@ -754,6 +751,7 @@ impl Shared {
         }
         (job.finish)(terminal);
         let mut inner = self.inner.lock();
+        inner.in_flight -= usize::from(taken);
         inner.tenant_release(job.tenant);
         drop(inner);
         self.cond.notify_all();
@@ -775,9 +773,9 @@ impl Shared {
         let mut inner = self.inner.lock();
         inner.in_flight -= 1;
         inner.tenant_release(job.tenant);
-        // The freed slot matters to the dispatcher only if work waits
-        // for one; a wake with empty queues would find nothing to do.
-        let wake = inner.has_queued();
+        // The freed slot matters to the dispatcher only if its fallback
+        // can start a pull task for the work waiting on one.
+        let wake = self.pulls_wanted(&inner) > 0;
         drop(inner);
         if wake {
             self.cond.notify_all();
@@ -791,55 +789,33 @@ impl Shared {
         if job.token.is_cancelled() {
             // Tripped between dispatch and execution: the job *was*
             // dispatched, so this counts as a cancellation, not a shed.
-            let mut inner = self.inner.lock();
-            inner.in_flight -= 1;
-            inner.tenant_release(job.tenant);
-            drop(inner);
-            let o = Ordering::Relaxed;
-            self.stats.cancelled.fetch_add(1, o);
-            self.stats.class[job.priority.index()]
-                .cancelled
-                .fetch_add(1, o);
-            self.core.metrics().record_cancel(1, 1);
-            (job.finish)(Terminal::Cancelled);
-            self.cond.notify_all();
+            self.resolve_terminal(job, Terminal::Cancelled);
             return;
         }
         job.attempts += 1;
         match (job.run)(&job.token) {
             Attempt::Panicked => {
-                if job.attempts <= self.cfg.retry.max_retries {
-                    let retry_no = job.attempts;
-                    let due = Instant::now() + self.cfg.retry.backoff(job.id, retry_no);
-                    job.enqueued = Instant::now();
-                    let mut inner = self.inner.lock();
-                    inner.in_flight -= 1;
-                    if inner.shutdown {
-                        // The dispatcher may already have passed (or
-                        // finished) its shutdown drain; a retry pushed
-                        // now would sit in `retries` with no thread left
-                        // to dispatch or shed it, hanging `shutdown()`'s
-                        // drain wait forever. Resolve terminally instead:
-                        // every attempt so far panicked and shutdown
-                        // denies the remaining budget.
-                        let attempts = job.attempts;
-                        drop(inner);
-                        self.resolve_terminal(job, Terminal::Failed { attempts });
-                        return;
-                    }
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    self.core.metrics().record_job_retried();
-                    inner.retries.push(RetryEntry { due, job });
+                let mut inner = self.inner.lock();
+                // After shutdown is flagged the dispatcher may already
+                // have passed (or finished) its drain; a retry pushed now
+                // would sit in `retries` with no thread left to dispatch
+                // or shed it, hanging `shutdown()`'s drain wait forever.
+                // Every attempt so far panicked and shutdown denies the
+                // remaining budget, so resolve terminally instead.
+                if job.attempts > self.cfg.retry.max_retries || inner.shutdown {
                     drop(inner);
-                    self.cond.notify_all();
-                } else {
                     let attempts = job.attempts;
-                    let mut inner = self.inner.lock();
-                    inner.in_flight -= 1;
-                    drop(inner);
-                    // resolve_terminal re-locks to release the tenant.
                     self.resolve_terminal(job, Terminal::Failed { attempts });
+                    return;
                 }
+                inner.in_flight -= 1;
+                job.enqueued = Instant::now();
+                let due = job.enqueued + self.cfg.retry.backoff(job.id, job.attempts);
+                self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                self.core.metrics().record_job_retried();
+                inner.retries.push(RetryEntry { due, job });
+                drop(inner);
+                self.cond.notify_all();
             }
             done => self.settle_executed(job, done),
         }
@@ -914,27 +890,33 @@ impl Shared {
         }
     }
 
-    /// A pull task: take work until none is dispatchable — staged
-    /// batches first (the dispatcher took them earlier), then the class
-    /// queues under [`pop_batch`](Self::pop_batch)'s rules. The worker
-    /// that frees a slot takes the next highest-priority job itself, so
-    /// under overload the top class's latency is bounded by one residual
-    /// service time rather than by dispatcher wakeups. The task gives
-    /// up its pull slot under the same lock that found nothing to take:
-    /// a job queued after that sees the free slot in `submit`, which
-    /// schedules a fresh pull task, so no job is stranded.
+    /// A pull task: take batches under [`pop_batch`](Self::pop_batch)'s
+    /// rules until none is dispatchable. The worker that frees a slot
+    /// takes the next highest-priority job itself, so under overload the
+    /// top class's latency is bounded by one residual service time
+    /// rather than by dispatcher wakeups. The task gives up its pull
+    /// slot under the same lock that found nothing to take: a job queued
+    /// after that sees the free slot in `submit`, which schedules a
+    /// fresh pull task, and a job left behind a full window gets one
+    /// from the dispatcher's fallback once a slot frees, so no job is
+    /// stranded.
     fn run_batch(self: &Arc<Self>) {
+        let mut busy = false;
         loop {
             let (batch, sheds) = {
                 let mut inner = self.inner.lock();
-                let taken = match inner.staged.pop_front() {
-                    Some(batch) => (batch, Vec::new()),
-                    // The dispatcher owns shutdown draining: queued
-                    // jobs are shed there, not executed here.
-                    None if inner.shutdown => (Vec::new(), Vec::new()),
-                    None => self.pop_batch(&mut inner, None),
+                inner.busy_pulls -= usize::from(busy);
+                // The dispatcher owns shutdown draining: queued jobs are
+                // shed there, not executed here.
+                let taken = if inner.shutdown {
+                    (Vec::new(), Vec::new())
+                } else {
+                    self.pop_batch(&mut inner, None)
                 };
-                if taken.0.is_empty() {
+                busy = !taken.0.is_empty();
+                if busy {
+                    inner.busy_pulls += 1;
+                } else {
                     inner.pulls -= 1;
                 }
                 taken
@@ -948,26 +930,16 @@ impl Shared {
     }
 
     /// Caller-runs for the owner of job `id`, about to block on it: take
-    /// the staged batch holding it, or the next batch
-    /// [`pop_batch`](Self::pop_batch) would hand a worker if that batch
-    /// holds it, and run it on this thread. Once, without looping.
+    /// the next batch [`pop_batch`](Self::pop_batch) would hand a worker
+    /// if that batch holds job `id`, and run it on this thread. Once,
+    /// without looping.
     fn run_own(self: &Arc<Self>, id: u64) {
         let (batch, sheds) = {
             let mut inner = self.inner.lock();
             if inner.shutdown {
                 return;
             }
-            match inner
-                .staged
-                .iter()
-                .position(|b| b.iter().any(|j| j.id == id))
-            {
-                Some(i) => (
-                    inner.staged.remove(i).expect("position in range"),
-                    Vec::new(),
-                ),
-                None => self.pop_batch(&mut inner, Some(id)),
-            }
+            self.pop_batch(&mut inner, Some(id))
         };
         self.shed_cancelled(sheds);
         if batch.is_empty() {
@@ -985,9 +957,27 @@ impl Shared {
     /// tasks are pending or running; the caller then spawns one with
     /// [`spawn_pull`] after unlocking.
     fn reserve_pull(&self, inner: &mut Inner) -> bool {
-        let free = inner.pulls < self.cfg.threads.max(1);
+        let free = self.free_pull_slots(inner) > 0;
         inner.pulls += usize::from(free);
         free
+    }
+
+    fn free_pull_slots(&self, inner: &Inner) -> usize {
+        self.cfg.threads.max(1).saturating_sub(inner.pulls)
+    }
+
+    /// Pull tasks the dispatcher's fallback starts: one per queued job
+    /// the window has room for, less the pull tasks that will pop work
+    /// anyway (pending, or between batches; not those busy with a body),
+    /// within the free pull slots.
+    fn pulls_wanted(&self, inner: &Inner) -> usize {
+        let queued: usize = inner.classes.iter().map(VecDeque::len).sum();
+        let room = self.cfg.dispatch_window.saturating_sub(inner.in_flight);
+        let takers = inner.pulls - inner.busy_pulls;
+        queued
+            .min(room)
+            .saturating_sub(takers)
+            .min(self.free_pull_slots(inner))
     }
 }
 
@@ -1021,8 +1011,8 @@ pub struct JobService {
 impl JobService {
     /// Build a service with `cfg.threads` workers plus one dispatcher
     /// thread (retry timers, the periodic deadline sweep, the shutdown
-    /// drain, and the fallback for queued work no pull task is left to
-    /// take).
+    /// drain, and the fallback that starts pull tasks for queued work
+    /// left behind a full window).
     pub fn new(cfg: ServiceConfig) -> Self {
         // `TaskPool` follows master-participates semantics: a pool of
         // `t` threads has `t - 1` workers and expects the caller to
@@ -1245,12 +1235,7 @@ impl JobService {
         }
         // The dispatcher shed the queues on its way out; in-flight
         // bodies still resolve on workers.
-        let mut inner = self.shared.inner.lock();
-        while inner.in_flight > 0 || inner.queued() > 0 {
-            self.shared
-                .cond
-                .wait_for(&mut inner, Duration::from_millis(1));
-        }
+        self.join();
     }
 }
 
@@ -1340,11 +1325,12 @@ where
 
 /// The dispatcher thread: moves due retries back to their class queues,
 /// sheds expired-in-queue jobs on a timer, drains the queues on
-/// shutdown, and — as a fallback — stages work the window has room for
-/// but no pull loop takes: after a slot frees outside a pull loop (a
-/// caller-run job, say), when a retry comes due, or while every pull
-/// task is busy. Submission and completion go straight to the workers
-/// and waiting callers; the dispatcher is not on that path.
+/// shutdown, and — as a fallback — starts pull tasks in free pull slots
+/// for queued work the window has room for: after a slot frees outside
+/// a pull loop (a caller-run job, say), or when a retry comes due. A
+/// pull task busy with a body takes nothing until it ends, so it does
+/// not stand in for one of these. Submission and completion go straight to the workers and
+/// waiting callers; the dispatcher is not on that path.
 fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
     // Expired-in-queue jobs surface two ways: a cheap token check as
     // each job is popped for dispatch, and a periodic full sweep for
@@ -1355,7 +1341,7 @@ fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
     let mut next_sweep = Instant::now();
     loop {
         let mut sheds: Vec<QueuedJob> = Vec::new();
-        let mut spawns = 0;
+        let spawns;
         let shutting_down;
         {
             let mut inner = shared.inner.lock();
@@ -1365,14 +1351,11 @@ fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
             // retried job does not preempt fresher traffic of its own
             // class).
             let now = Instant::now();
-            let mut i = 0;
-            while i < inner.retries.len() {
-                if shutting_down || inner.retries[i].due <= now {
-                    let entry = inner.retries.swap_remove(i);
-                    inner.classes[entry.job.priority.index()].push_back(entry.job);
-                } else {
-                    i += 1;
-                }
+            let Inner {
+                classes, retries, ..
+            } = &mut *inner;
+            for entry in retries.extract_if(.., |r| shutting_down || r.due <= now) {
+                classes[entry.job.priority.index()].push_back(entry.job);
             }
 
             // Shed expired-in-queue (or handle-cancelled) jobs before
@@ -1381,34 +1364,18 @@ fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
             if shutting_down || now >= next_sweep {
                 next_sweep = now + SWEEP_PERIOD;
                 for class in &mut inner.classes {
-                    if shutting_down {
-                        sheds.extend(class.drain(..));
-                        continue;
-                    }
-                    let mut kept = VecDeque::with_capacity(class.len());
-                    while let Some(job) = class.pop_front() {
-                        if job.token.is_cancelled() {
-                            sheds.push(job);
-                        } else {
-                            kept.push_back(job);
-                        }
-                    }
+                    let (shed, kept): (VecDeque<_>, VecDeque<_>) = class
+                        .drain(..)
+                        .partition(|job| shutting_down || job.token.is_cancelled());
+                    sheds.extend(shed);
                     *class = kept;
                 }
             }
 
-            // Stage while the window has room, highest class first
-            // (see `pop_batch` for the batching/window rules), and wake
-            // a worker for each batch while pull slots are free.
-            loop {
-                let (batch, popped_sheds) = shared.pop_batch(&mut inner, None);
-                sheds.extend(popped_sheds);
-                if batch.is_empty() {
-                    break;
-                }
-                inner.staged.push_back(batch);
-                spawns += usize::from(shared.reserve_pull(&mut inner));
-            }
+            // The fallback: the jobs stay queued for the pull tasks,
+            // which take them under `pop_batch`'s rules.
+            spawns = shared.pulls_wanted(&inner);
+            inner.pulls += spawns;
         }
 
         // Outside the lock: resolve sheds and start the pull tasks.
@@ -1428,14 +1395,14 @@ fn dispatch_loop(shared: &Arc<Shared>, pool: &Arc<TaskPool>) {
         if inner.shutdown && inner.queued() == 0 {
             return;
         }
-        let dispatchable = inner.in_flight < shared.cfg.dispatch_window && inner.has_queued();
-        if !dispatchable {
-            // Nothing dispatchable right now: the class queues are
-            // empty (possibly with retries still backing off), or the
-            // window is full. Timed wait so retry due-times and queued
-            // deadlines make progress without a notification, bounded
-            // by the earliest retry so backoffs fire on time instead of
-            // the loop rescanning at full speed until one comes due.
+        if shared.pulls_wanted(&inner) == 0 {
+            // Nothing to start right now: the class queues are empty
+            // (possibly with retries still backing off), the window or
+            // the pull slots are full, or pull tasks will take the work.
+            // Timed wait so retry due-times and queued deadlines make
+            // progress without a notification, bounded by the earliest
+            // retry so backoffs fire on time instead of the loop
+            // rescanning at full speed until one comes due.
             let now = Instant::now();
             let base = if inner.is_drained() {
                 Duration::from_millis(20)
@@ -1459,6 +1426,56 @@ mod tests {
 
     fn tiny_spec() -> JobSpec {
         JobSpec::default().cost(Duration::from_micros(1))
+    }
+
+    /// Retries 10–100 µs apart, so retry tests run in microseconds.
+    fn fast_retry(max_retries: u32, jitter_seed: u64) -> RetryPolicy {
+        RetryPolicy {
+            max_retries,
+            base: Duration::from_micros(10),
+            cap: Duration::from_micros(100),
+            jitter_seed,
+        }
+    }
+
+    /// A flag that bodies and pool tasks spin on until it opens.
+    #[derive(Clone, Default)]
+    struct Gate(Arc<std::sync::atomic::AtomicBool>);
+
+    impl Gate {
+        fn open(&self) {
+            self.0.store(true, Ordering::Release);
+        }
+
+        fn is_open(&self) -> bool {
+            self.0.load(Ordering::Acquire)
+        }
+
+        fn wait(&self) {
+            while !self.is_open() {
+                std::thread::yield_now();
+            }
+        }
+
+        /// A job body that holds its thread until the gate opens.
+        fn hold(&self) -> impl Fn(&CancelToken) + Send + 'static {
+            let g = self.clone();
+            move |_| g.wait()
+        }
+    }
+
+    /// Spin until the class queues hold exactly `n` jobs.
+    fn until_depth(svc: &JobService, n: usize) {
+        while svc.queue_depth() != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spin until exactly `n` pull tasks are pending or running.
+    fn until_pulls(svc: &JobService, n: usize) {
+        while svc.shared.inner.lock().pulls != n {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -1503,21 +1520,14 @@ mod tests {
         let cfg = ServiceConfig::new(1).with_tenant_quota(2);
         let svc = JobService::new(cfg);
         // Park the single worker so submissions stay queued.
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = svc
-            .submit(JobSpec::tenant(1), move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-            .unwrap();
+        let gate = Gate::default();
+        let blocker = svc.submit(JobSpec::tenant(1), gate.hold()).unwrap();
         let _queued = svc.submit(JobSpec::tenant(1), |_| ()).unwrap();
         let refused = svc.submit::<(), _>(JobSpec::tenant(1), |_| ());
         assert_eq!(refused.unwrap_err(), Rejected::Quota);
         // A different tenant is unaffected.
         let other = svc.submit(JobSpec::tenant(2), |_| ()).unwrap();
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         other.wait();
         svc.join();
@@ -1533,19 +1543,12 @@ mod tests {
             .with_shed_watermark(100) // keep shedding mode out of the way
             .with_dispatch_window(1);
         let svc = JobService::new(cfg);
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
+        let gate = Gate::default();
         let blocker = svc
-            .submit(JobSpec::default().priority(Priority::High), move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
+            .submit(JobSpec::default().priority(Priority::High), gate.hold())
             .unwrap();
         // Give the dispatcher a moment to move the blocker in-flight.
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        until_depth(&svc, 0);
         let low = svc
             .submit(JobSpec::default().priority(Priority::Low), |_| ())
             .unwrap();
@@ -1560,7 +1563,7 @@ mod tests {
         // …but a Low submission cannot displace anyone.
         let refused = svc.submit::<(), _>(JobSpec::default().priority(Priority::Low), |_| ());
         assert_eq!(refused.unwrap_err(), Rejected::QueueFull);
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         assert!(high.wait().completed().is_some());
         svc.join();
@@ -1578,18 +1581,9 @@ mod tests {
             .with_shed_watermark(1)
             .with_dispatch_window(1);
         let svc = JobService::new(cfg);
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = svc
-            .submit(JobSpec::default(), move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-            .unwrap();
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        let gate = Gate::default();
+        let blocker = svc.submit(JobSpec::default(), gate.hold()).unwrap();
+        until_depth(&svc, 0);
         let _queued = svc.submit(JobSpec::default(), |_| ()).unwrap();
         // Past the watermark: Low refused, Normal/High still admitted.
         let low = svc.submit::<(), _>(JobSpec::default().priority(Priority::Low), |_| ());
@@ -1597,7 +1591,7 @@ mod tests {
         let high = svc
             .submit(JobSpec::default().priority(Priority::High), |_| 1)
             .unwrap();
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         assert_eq!(high.wait().completed(), Some(1));
         svc.join();
@@ -1608,18 +1602,9 @@ mod tests {
     fn deadline_expired_in_queue_is_shed_not_cancelled() {
         let cfg = ServiceConfig::new(1).with_dispatch_window(1);
         let svc = JobService::new(cfg);
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = svc
-            .submit(JobSpec::default(), move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-            .unwrap();
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        let gate = Gate::default();
+        let blocker = svc.submit(JobSpec::default(), gate.hold()).unwrap();
+        until_depth(&svc, 0);
         // 1ms deadline, stuck behind the blocker for ~30ms: must be
         // shed before execution.
         let doomed = svc
@@ -1629,7 +1614,7 @@ mod tests {
             )
             .unwrap();
         std::thread::sleep(Duration::from_millis(30));
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         assert_eq!(doomed.wait(), JobOutcome::Shed(ShedReason::DeadlineExpired));
         svc.join();
@@ -1660,12 +1645,7 @@ mod tests {
 
     #[test]
     fn transient_panics_retry_then_fail() {
-        let cfg = ServiceConfig::new(2).with_retry(RetryPolicy {
-            max_retries: 2,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(100),
-            jitter_seed: 7,
-        });
+        let cfg = ServiceConfig::new(2).with_retry(fast_retry(2, 7));
         let svc = JobService::new(cfg);
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
@@ -1687,12 +1667,7 @@ mod tests {
 
     #[test]
     fn transient_panic_then_success_completes() {
-        let cfg = ServiceConfig::new(2).with_retry(RetryPolicy {
-            max_retries: 3,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(100),
-            jitter_seed: 7,
-        });
+        let cfg = ServiceConfig::new(2).with_retry(fast_retry(3, 7));
         let svc = JobService::new(cfg);
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
@@ -1736,38 +1711,32 @@ mod tests {
 
     #[test]
     fn tiny_jobs_batch_into_fewer_pool_tasks() {
-        let cfg = ServiceConfig::new(1)
+        let cfg = ServiceConfig::new(2)
             .with_dispatch_window(2)
             .with_batch(BatchPolicy {
                 tiny_cost: Duration::from_micros(50),
                 max_batch: 8,
             });
         let svc = JobService::new(cfg);
-        // Two blockers (cost above tiny) fill the dispatch window, so
-        // the 32 tiny jobs all accumulate in queue and batch formation
-        // is deterministic once the gate opens.
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Two blockers (cost above tiny) occupy both workers and fill
+        // the dispatch window, so the 32 tiny jobs all accumulate in
+        // queue and batch formation is deterministic once the gate
+        // opens.
+        let gate = Gate::default();
         let blockers: Vec<_> = (0..2)
             .map(|_| {
-                let g = Arc::clone(&gate);
                 svc.submit(
                     JobSpec::default().cost(Duration::from_millis(1)),
-                    move |_| {
-                        while !g.load(Ordering::Acquire) {
-                            std::thread::yield_now();
-                        }
-                    },
+                    gate.hold(),
                 )
                 .unwrap()
             })
             .collect();
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        until_depth(&svc, 0);
         let handles: Vec<_> = (0..32)
             .map(|_| svc.submit(tiny_spec(), |_| ()).unwrap())
             .collect();
-        gate.store(true, Ordering::Release);
+        gate.open();
         for b in blockers {
             b.wait();
         }
@@ -1789,20 +1758,18 @@ mod tests {
     fn drop_sheds_queued_jobs_as_shutdown() {
         let cfg = ServiceConfig::new(1).with_dispatch_window(1);
         let svc = JobService::new(cfg);
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
+        // The blocker ends only once shutdown is flagged, so its worker
+        // cannot take the queued job before the flag is set.
+        let shared = Arc::clone(&svc.shared);
         let blocker = svc
             .submit(JobSpec::default(), move |_| {
-                while !g.load(Ordering::Acquire) {
+                while !shared.inner.lock().shutdown {
                     std::thread::yield_now();
                 }
             })
             .unwrap();
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        until_depth(&svc, 0);
         let queued = svc.submit(JobSpec::default(), |_| "never runs").unwrap();
-        gate.store(true, Ordering::Release);
         let stats;
         {
             let mut svc = svc;
@@ -1839,25 +1806,16 @@ mod tests {
     fn handle_cancel_before_dispatch_sheds() {
         let cfg = ServiceConfig::new(1).with_dispatch_window(1);
         let svc = JobService::new(cfg);
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = svc
-            .submit(JobSpec::default(), move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-            .unwrap();
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        let gate = Gate::default();
+        let blocker = svc.submit(JobSpec::default(), gate.hold()).unwrap();
+        until_depth(&svc, 0);
         let h = svc.submit(JobSpec::default(), |_| "never").unwrap();
         h.token().cancel();
         // Dispatcher sheds it on its next sweep even while the worker
         // is blocked — as an explicit cancellation, not a deadline
         // expiry (the job has no deadline).
         std::thread::sleep(Duration::from_millis(10));
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         assert_eq!(h.wait(), JobOutcome::Shed(ShedReason::Cancelled));
         svc.join();
@@ -1888,11 +1846,11 @@ mod tests {
         });
         let mut svc = JobService::new(cfg);
         let shared = Arc::clone(&svc.shared);
-        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let s = Arc::clone(&started);
+        let started = Gate::default();
+        let s = started.clone();
         let h = svc
             .submit(JobSpec::default(), move |_: &CancelToken| {
-                s.store(true, Ordering::Release);
+                s.open();
                 // Hold the body until shutdown() has set the flag, so
                 // the panic is deterministically processed post-flag.
                 while !shared.inner.lock().shutdown {
@@ -1903,9 +1861,7 @@ mod tests {
             .unwrap();
         // The body must be in flight before shutdown, or the dispatcher
         // sheds it from the queue and the retry path never runs.
-        while !started.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
+        started.wait();
         svc.shutdown(); // must terminate, not wait on the orphan retry
         assert_eq!(h.wait(), JobOutcome::Failed { attempts: 1 });
         let s = svc.stats();
@@ -1915,18 +1871,13 @@ mod tests {
     }
 
     /// Occupy the service pool's only worker with a raw pool task — not
-    /// a job, so it holds no dispatch slot — until the returned flag is
-    /// set. Pull tasks queue behind it, so a queued job can only run on
-    /// its waiter's thread while the plug holds.
-    fn plug_pool(svc: &JobService) -> (Arc<std::sync::atomic::AtomicBool>, Future<()>) {
-        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let r = Arc::clone(&release);
-        let plug = svc.pool().spawn(move || {
-            while !r.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-        (release, plug)
+    /// a job, so it holds no dispatch slot — until the returned gate
+    /// opens. Pull tasks queue behind it, so a queued job can only run
+    /// on its waiter's thread while the plug holds.
+    fn plug_pool(svc: &JobService) -> (Gate, Future<()>) {
+        let release = Gate::default();
+        let r = release.clone();
+        (release, svc.pool().spawn(move || r.wait()))
     }
 
     #[test]
@@ -1937,7 +1888,7 @@ mod tests {
             .submit(JobSpec::default(), |_| std::thread::current().id())
             .unwrap();
         assert_eq!(h.wait().completed(), Some(std::thread::current().id()));
-        release.store(true, Ordering::Release);
+        release.open();
         plug.wait();
         svc.join();
         let s = svc.stats();
@@ -1974,33 +1925,28 @@ mod tests {
             ServiceConfig::new(1).with_dispatch_window(1),
         ));
         let occ = Occupancy::default();
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let plug_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (gate, plug_done) = (Gate::default(), Gate::default());
         let blocker = {
-            let (occ, g, done) = (occ.clone(), Arc::clone(&gate), Arc::clone(&plug_done));
+            let (occ, g, done) = (occ.clone(), gate.clone(), plug_done.clone());
             svc.submit(JobSpec::default(), move |_| {
                 occ.enter();
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                done.store(true, Ordering::Release);
+                g.wait();
+                done.open();
                 occ.exit();
             })
             .unwrap()
         };
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        until_depth(&svc, 0);
         // The blocker holds the only slot, so no waiter may take its
         // job — on its own thread or anywhere — until the blocker ends.
         let waiters: Vec<_> = (0..3)
             .map(|_| {
-                let (svc, occ, done) = (Arc::clone(&svc), occ.clone(), Arc::clone(&plug_done));
+                let (svc, occ, done) = (Arc::clone(&svc), occ.clone(), plug_done.clone());
                 std::thread::spawn(move || {
                     let h = svc
                         .submit(JobSpec::default(), move |_| {
                             occ.enter();
-                            let after_plug = done.load(Ordering::Acquire);
+                            let after_plug = done.is_open();
                             occ.exit();
                             after_plug
                         })
@@ -2009,14 +1955,12 @@ mod tests {
                 })
             })
             .collect();
-        while svc.queue_depth() < 3 {
-            std::thread::yield_now();
-        }
+        until_depth(&svc, 3);
         // Not needed for the assertions, which hold in any order: it
         // only makes it likely that every waiter has looked at the
         // queue, found the window full, and blocked before the release.
         std::thread::sleep(Duration::from_millis(20));
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         for w in waiters {
             assert!(w.join().unwrap(), "a job started while the window was full");
@@ -2024,6 +1968,81 @@ mod tests {
         svc.join();
         assert_eq!(occ.peak(), 1, "more bodies ran at once than the window");
         assert!(svc.stats().accounting_balanced());
+    }
+
+    #[test]
+    fn dispatcher_starts_a_pull_for_work_left_behind_a_full_window() {
+        let svc = Arc::new(JobService::new(
+            ServiceConfig::new(1).with_dispatch_window(1),
+        ));
+        // Job A runs on its waiter's thread (the plug keeps the worker
+        // away from it) and holds the only slot until `gate` opens.
+        let (release, plug) = plug_pool(&svc);
+        let gate = Gate::default();
+        let a = svc.submit(JobSpec::default(), gate.hold()).unwrap();
+        let waiter = std::thread::spawn(move || a.wait());
+        until_depth(&svc, 0);
+        release.open();
+        plug.wait();
+        until_pulls(&svc, 0);
+        // B's pull task finds the window full and exits, so only the
+        // dispatcher is left to start B once A frees the slot.
+        let b = svc.submit(JobSpec::default(), |_| ()).unwrap();
+        until_pulls(&svc, 0);
+        assert_eq!(svc.queue_depth(), 1, "B ran while the window was full");
+        gate.open();
+        assert!(waiter.join().unwrap().completed().is_some());
+        // Nobody waits on B's handle: it must run on a worker.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let joiner = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            joiner.join();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("queued job never started after the window freed");
+        assert!(b.is_resolved());
+        let s = svc.stats();
+        assert_eq!((s.completed, s.caller_runs), (2, 1));
+        assert!(s.accounting_balanced());
+    }
+
+    #[test]
+    fn queued_job_starts_on_an_idle_worker_beside_a_long_body() {
+        let svc = JobService::new(ServiceConfig::new(2).with_dispatch_window(2));
+        // L holds a window slot and a pull slot on one worker.
+        let long_gate = Gate::default();
+        let long = svc.submit(JobSpec::default(), long_gate.hold()).unwrap();
+        until_depth(&svc, 0);
+        // J runs on its waiter's thread (the plug keeps the other
+        // worker away from it) and holds the second window slot.
+        let (release, plug) = plug_pool(&svc);
+        let j_gate = Gate::default();
+        let j = svc.submit(JobSpec::default(), j_gate.hold()).unwrap();
+        let waiter = std::thread::spawn(move || j.wait());
+        until_depth(&svc, 0);
+        release.open();
+        plug.wait();
+        until_pulls(&svc, 1);
+        // K's pull task finds the window full and exits; once J frees
+        // its slot, K must start on the idle worker, not wait for L.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let k = svc
+            .submit(JobSpec::default(), move |_| tx.send(()).unwrap())
+            .unwrap();
+        until_pulls(&svc, 1);
+        assert_eq!(svc.queue_depth(), 1, "K ran while the window was full");
+        j_gate.open();
+        assert!(waiter.join().unwrap().completed().is_some());
+        let started = rx.recv_timeout(Duration::from_secs(5));
+        long_gate.open();
+        started.expect("queued job waited for an unrelated long body");
+        assert!(long.wait().completed().is_some());
+        assert!(k.wait().completed().is_some());
+        svc.join();
+        let s = svc.stats();
+        assert_eq!((s.completed, s.caller_runs), (3, 1));
+        assert!(s.accounting_balanced());
     }
 
     #[test]
@@ -2070,18 +2089,9 @@ mod tests {
     #[test]
     fn waiter_never_jumps_a_higher_class() {
         let svc = JobService::new(ServiceConfig::new(1).with_dispatch_window(2));
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = svc
-            .submit(JobSpec::default(), move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            })
-            .unwrap();
-        while svc.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        let gate = Gate::default();
+        let blocker = svc.submit(JobSpec::default(), gate.hold()).unwrap();
+        until_depth(&svc, 0);
         let high = svc
             .submit(JobSpec::default().priority(Priority::High), |_| {
                 std::thread::current().id()
@@ -2100,7 +2110,7 @@ mod tests {
         // Only makes it likely that the waiter looks while both jobs
         // are queued; the assertions hold in any order.
         std::thread::sleep(Duration::from_millis(20));
-        gate.store(true, Ordering::Release);
+        gate.open();
         blocker.wait();
         let (me, high_first) = waiter.join().unwrap();
         let high_ran_on = high.wait().completed().expect("high completes");
@@ -2115,12 +2125,7 @@ mod tests {
 
     #[test]
     fn panic_on_the_waiters_thread_retries_on_a_worker() {
-        let cfg = ServiceConfig::new(1).with_retry(RetryPolicy {
-            max_retries: 2,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(100),
-            jitter_seed: 3,
-        });
+        let cfg = ServiceConfig::new(1).with_retry(fast_retry(2, 3));
         let svc = JobService::new(cfg);
         let me = std::thread::current().id();
         let calls = Arc::new(AtomicU64::new(0));
@@ -2128,11 +2133,11 @@ mod tests {
         // Panics on the waiter only: the retry runs on the worker, which
         // the first attempt itself unplugs.
         let (release, plug) = plug_pool(&svc);
-        let (c, r) = (Arc::clone(&calls), Arc::clone(&release));
+        let (c, r) = (Arc::clone(&calls), release.clone());
         let h = svc
             .submit(JobSpec::default(), move |_| {
                 c.fetch_add(1, Ordering::Relaxed);
-                r.store(true, Ordering::Release);
+                r.open();
                 let ran_on = std::thread::current().id();
                 assert_ne!(ran_on, me, "transient fault on the waiter");
                 ran_on
@@ -2141,6 +2146,9 @@ mod tests {
         let ran_on = h.wait().completed().expect("the retry completes");
         assert_ne!(ran_on, me);
         plug.wait();
+        // The retry's pull task may not have looped back yet; it would
+        // take the next job from the worker ahead of its waiter.
+        until_pulls(&svc, 0);
 
         // Panics everywhere: the caller-run attempt counts toward the
         // budget like any other.
@@ -2149,7 +2157,7 @@ mod tests {
         let h = svc
             .submit(JobSpec::default(), move |_| {
                 c.fetch_add(1, Ordering::Relaxed);
-                release.store(true, Ordering::Release);
+                release.open();
                 panic!("transient");
             })
             .unwrap();

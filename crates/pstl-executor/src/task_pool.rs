@@ -9,7 +9,9 @@
 //! traffic here models exactly that.
 //!
 //! The pool additionally exposes [`TaskPool::spawn`], returning a blocking
-//! [`Future`], mirroring HPX's future-based async API surface.
+//! [`Future`], mirroring HPX's future-based async API surface: `spawn`
+//! pushes onto the same central queue as `run`, so `async` plus waiting
+//! on the futures is HPX's `async`/`when_all` over one task queue.
 //!
 //! The strategy here is only the central queue; lifecycle, parking,
 //! panic containment and accounting are the [`runtime`](crate::runtime)'s.
@@ -29,19 +31,11 @@ use crate::{Discipline, Executor};
 
 type BoxTask = Box<dyn FnOnce() + Send>;
 
-/// A queued closure plus the number of task indices it covers, so the
-/// executing worker can trace the block size (1 for `run`/`spawn` tasks,
-/// larger for the futures pool's blocks).
-struct QueuedTask {
-    size: u64,
-    run: BoxTask,
-}
-
 /// The central-queue discipline: every participant drains one shared
 /// FIFO. Locality-blind by design — that *is* the HPX-style cost this
 /// pool models.
 struct QueueStrategy {
-    queue: Injector<QueuedTask>,
+    queue: Injector<BoxTask>,
 }
 
 impl QueueStrategy {
@@ -52,9 +46,9 @@ impl QueueStrategy {
     fn run_one(&self, core: &RuntimeCore, rec: Option<&WorkerRecorder>) -> bool {
         match self.queue.pop() {
             Some(task) => {
-                let timer = core.metrics().task_timer(task.size);
+                let timer = core.metrics().task_timer(1);
                 if let Some(rec) = rec {
-                    rec.record(EventKind::TaskStart { size: task.size });
+                    rec.record(EventKind::TaskStart { size: 1 });
                     run_queued(task);
                     rec.record(EventKind::TaskFinish);
                 } else {
@@ -116,17 +110,6 @@ impl TaskPool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.spawn_sized(1, f)
-    }
-
-    /// As [`spawn`](Self::spawn), with an explicit task-size hint (the
-    /// number of indices the closure covers) for metrics and tracing.
-    /// Used by the futures pool, whose tasks are contiguous blocks.
-    pub(crate) fn spawn_sized<T, F>(&self, size: u64, f: F) -> Future<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
         let (future, promise) = future_promise();
         let core = self.rt.core();
         if core.threads() == 1 {
@@ -134,38 +117,22 @@ impl TaskPool {
             promise.set(f());
             return future;
         }
-        self.rt.strategy().queue.push(QueuedTask {
-            size,
-            run: Box::new(move || promise.set(f())),
-        });
+        let task: BoxTask = Box::new(move || promise.set(f()));
+        self.rt.strategy().queue.push(task);
         core.notify();
         future
     }
 
     /// Pop and execute one queued task, tracing it on `rec` when given.
     /// Returns whether a task was run. Shared by the caller help-loops
-    /// (`run`, `scope`, and the futures pool's await loop).
+    /// of `run` and `scope`.
     pub(crate) fn try_run_one(&self, rec: Option<&WorkerRecorder>) -> bool {
         self.rt.strategy().run_one(self.rt.core(), rec)
-    }
-
-    /// The shared runtime core (metrics, tracer, topology, faults) —
-    /// for the futures pool, which fronts this pool but reports its own
-    /// parallel regions.
-    pub(crate) fn core(&self) -> &RuntimeCore {
-        self.rt.core()
     }
 
     /// Owning handle on the core; see [`Runtime::core_arc`].
     pub(crate) fn core_arc(&self) -> std::sync::Arc<RuntimeCore> {
         self.rt.core_arc()
-    }
-
-    /// Lock the run-serialization lock and return the caller context
-    /// (track 0). The futures pool's run path serializes through this,
-    /// like `run` itself.
-    pub(crate) fn lock_run(&self) -> (parking_lot::MutexGuard<'_, ()>, WorkerCtx<'_>) {
-        (self.rt.lock_caller(), self.rt.caller_ctx())
     }
 
     /// Structured-concurrency scope (rayon-style): closures spawned
@@ -274,10 +241,7 @@ impl<'scope> Scope<'scope> {
         // SAFETY: only erases the 'scope lifetime; the scope's wait-group
         // drain guarantees execution completes before 'scope ends.
         let boxed: BoxTask = unsafe { std::mem::transmute(boxed) };
-        self.pool.rt.strategy().queue.push(QueuedTask {
-            size: 1,
-            run: boxed,
-        });
+        self.pool.rt.strategy().queue.push(boxed);
         self.pool.rt.core().notify();
     }
 }
@@ -290,8 +254,8 @@ impl<'scope> Scope<'scope> {
 /// unwind into the runtime. The payload is dropped: the task's promise
 /// is dropped unfulfilled, which its waiter observes as a broken
 /// promise.
-fn run_queued(task: QueuedTask) {
-    let _ = contain(task.run);
+fn run_queued(task: BoxTask) {
+    let _ = contain(task);
 }
 
 impl Executor for TaskPool {
@@ -322,12 +286,9 @@ impl Executor for TaskPool {
         // still pays its own allocation and pop.
         self.rt.strategy().queue.push_batch((0..tasks).map(|i| {
             let job = Arc::clone(&job);
-            QueuedTask {
-                size: 1,
-                // SAFETY: the caller below blocks on the job latch until
-                // every index has executed, keeping the body borrow live.
-                run: Box::new(move || unsafe { job.execute_index(i) }),
-            }
+            // SAFETY: the caller below blocks on the job latch until
+            // every index has executed, keeping the body borrow live.
+            Box::new(move || unsafe { job.execute_index(i) }) as BoxTask
         }));
         core.notify();
 

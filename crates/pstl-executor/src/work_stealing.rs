@@ -8,7 +8,7 @@
 //! steal from random victims (FIFO), which is exactly TBB's
 //! depth-first-work, breadth-first-steal shape. Victim selection is
 //! two-tier when the pool is built on a multi-node
-//! [`Topology`](crate::topology::Topology): randomized same-node victims
+//! [`Topology`]: randomized same-node victims
 //! are tried for the first rounds, and remote nodes are visited only
 //! after local stealing fails — the locality-aware stealing that keeps
 //! stolen chunks on the node whose DRAM holds their pages.

@@ -169,8 +169,12 @@ impl LoadGen {
                 move |t: &CancelToken| body(t, p)
             };
             agg.submitted[class] += 1;
+            // Stamped before `submit`, like the closed loop: a generator
+            // descheduled inside `submit` must not start the clock after
+            // the job has already run.
+            let submitted = Instant::now();
             match svc.submit(spec, job) {
-                Ok(handle) => pending.push((class, Instant::now(), handle)),
+                Ok(handle) => pending.push((class, submitted, handle)),
                 Err(_) => agg.rejected[class] += 1,
             }
         }

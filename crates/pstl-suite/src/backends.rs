@@ -134,6 +134,14 @@ mod tests {
         assert_eq!(disc(Backend::GccGnu), Some(Discipline::ForkJoin));
         assert_eq!(disc(Backend::NvcOmp), Some(Discipline::ForkJoin));
         assert_eq!(disc(Backend::GccHpx), Some(Discipline::TaskPool));
+        // Every pool earns its place: each backs some real-mode backend.
+        let used: Vec<_> = BackendHost::real_mode_backends()
+            .into_iter()
+            .filter_map(disc)
+            .collect();
+        for d in Discipline::POOLS {
+            assert!(used.contains(&d), "{} backs no real-mode backend", d.name());
+        }
     }
 
     #[test]

@@ -381,12 +381,7 @@ mod tests {
 
     fn policies() -> Vec<ExecutionPolicy> {
         let mut out = Vec::new();
-        for d in [
-            Discipline::ForkJoin,
-            Discipline::WorkStealing,
-            Discipline::TaskPool,
-            Discipline::Futures,
-        ] {
+        for d in Discipline::POOLS {
             let pool = build_pool(d, 3);
             for p in Partitioner::all() {
                 out.push(ExecutionPolicy::par_with(

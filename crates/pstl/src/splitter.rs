@@ -234,7 +234,6 @@ mod tests {
             build_pool(Discipline::ForkJoin, 3),
             build_pool(Discipline::WorkStealing, 2),
             build_pool(Discipline::TaskPool, 2),
-            build_pool(Discipline::Futures, 2),
             build_pool(Discipline::WorkStealing, 1),
         ]
     }

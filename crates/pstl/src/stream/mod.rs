@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn empty_stream_and_capacity_one_work() {
-        let pool = build_pool(Discipline::Futures, 2);
+        let pool = build_pool(Discipline::TaskPool, 2);
         let got = Pipeline::source(std::iter::empty::<u8>())
             .stage(|x| x)
             .collect(&*pool)

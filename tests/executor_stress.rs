@@ -8,7 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pstl_executor::deque::{deque, Steal};
-use pstl_executor::{build_pool, build_pool_on, Discipline, FuturesPool, TaskPool, Topology};
+use pstl_executor::{build_pool, build_pool_on, Discipline, TaskPool, Topology};
 
 #[test]
 fn thousand_small_runs_per_discipline() {
@@ -102,11 +102,11 @@ fn futures_fan_out_fan_in() {
 }
 
 #[test]
-fn futures_pool_storm_with_promise_handoff() {
-    // The futures discipline under the same storm as the other pools,
-    // plus a cross-thread promise handoff per round.
+fn task_pool_storm_with_promise_handoff() {
+    // The task pool on a two-node topology under the same storm as the
+    // other pools, plus a cross-thread promise handoff per round.
     use pstl_executor::{future_promise, Executor};
-    let pool = FuturesPool::with_topology(Topology::grouped(4, 2));
+    let pool = TaskPool::with_topology(Topology::grouped(4, 2));
     for round in 0..200 {
         let tasks = round % 23;
         let total = AtomicUsize::new(0);

@@ -93,7 +93,7 @@ fn steal_delay_slows_but_never_wedges() {
 
 #[test]
 fn futures_resolve_via_try_wait_under_spawn_truncation() {
-    use pstl_executor::{Executor, FuturesPool, TaskPool};
+    use pstl_executor::{Executor, TaskPool};
 
     // Worker 1's spawn fails, truncating the team; every spawned future
     // must still resolve through `try_wait` (no `BrokenPromise`) — the
@@ -109,19 +109,6 @@ fn futures_resolve_via_try_wait_under_spawn_truncation() {
             i * 2
         );
     }
-
-    // The block-futures backend rides the same machinery: a truncated
-    // FuturesPool still covers the whole index space through its
-    // internally awaited futures.
-    let fp = FuturesPool::with_topology_faulted(
-        Topology::flat(4),
-        FaultPlan::none().with_spawn_failure(1),
-    );
-    let hits = AtomicUsize::new(0);
-    fp.run(1_000, &|_| {
-        hits.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), 1_000);
 }
 
 #[test]

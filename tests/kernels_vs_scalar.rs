@@ -1,7 +1,7 @@
 //! Differential suite for the kernel layer (ISSUE 7): the wide
 //! (SIMD-shaped) paths must be observationally equivalent to their
 //! scalar oracles — directly, kernel vs. kernel, and end-to-end through
-//! every kernel-routed algorithm on all four pool disciplines × all
+//! every kernel-routed algorithm on all three pool disciplines × all
 //! partitioners.
 //!
 //! Equivalence is *exact* everywhere except f32/f64 reduction, where
@@ -33,7 +33,6 @@ fn pools() -> &'static [(Discipline, Arc<dyn Executor>)] {
                 build_pool(Discipline::WorkStealing, 2),
             ),
             (Discipline::TaskPool, build_pool(Discipline::TaskPool, 2)),
-            (Discipline::Futures, build_pool(Discipline::Futures, 2)),
         ]
     })
 }
@@ -225,8 +224,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: kernel-routed algorithms vs. std oracles on all four
-// pools × all partitioners (fewer cases — each runs 13 policies).
+// End-to-end: kernel-routed algorithms vs. std oracles on all three
+// pools × all partitioners (fewer cases — each runs 10 policies).
 // ---------------------------------------------------------------------
 
 proptest! {

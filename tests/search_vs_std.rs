@@ -18,15 +18,10 @@ fn pools() -> &'static [(Discipline, Arc<dyn Executor>)] {
     use std::sync::OnceLock;
     static POOLS: OnceLock<Vec<(Discipline, Arc<dyn Executor>)>> = OnceLock::new();
     POOLS.get_or_init(|| {
-        [
-            Discipline::ForkJoin,
-            Discipline::WorkStealing,
-            Discipline::TaskPool,
-            Discipline::Futures,
-        ]
-        .into_iter()
-        .map(|d| (d, build_pool(d, 3)))
-        .collect()
+        Discipline::POOLS
+            .into_iter()
+            .map(|d| (d, build_pool(d, 3)))
+            .collect()
     })
 }
 

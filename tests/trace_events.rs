@@ -15,18 +15,16 @@ use pstl_executor::{build_pool, Discipline, Executor};
 use pstl_trace::stats;
 use pstl_trace::EventKind;
 
-const ALL: [Discipline; 4] = [
-    Discipline::ForkJoin,
-    Discipline::WorkStealing,
-    Discipline::TaskPool,
-    Discipline::Futures,
-];
-
 /// Shared pools (spawning threads per proptest case would dominate).
 fn pools() -> &'static [(Discipline, Arc<dyn Executor>)] {
     use std::sync::OnceLock;
     static POOLS: OnceLock<Vec<(Discipline, Arc<dyn Executor>)>> = OnceLock::new();
-    POOLS.get_or_init(|| ALL.iter().map(|&d| (d, build_pool(d, 3))).collect())
+    POOLS.get_or_init(|| {
+        Discipline::POOLS
+            .iter()
+            .map(|&d| (d, build_pool(d, 3)))
+            .collect()
+    })
 }
 
 fn busy_work(i: usize) -> u64 {
