@@ -1,8 +1,7 @@
-//! Criterion bench for the `pstl::kernel` layer: scalar vs. wide
-//! dispatch of each single-thread inner loop (ISSUE 7). Unlike the
-//! other groups this one runs no pool — it times the leaf kernels the
-//! parallel algorithms bottom out in, which is where the `simd`
-//! feature's raw-speed claim lives.
+//! Criterion bench for the `pstl::kernel` layer: each dispatched
+//! single-thread entry point against its baseline-compiled `*_scalar`
+//! oracle. Unlike the other groups this one runs no pool — it times the
+//! leaf kernels the parallel algorithms bottom out in.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -33,8 +32,8 @@ fn bench_kernels(c: &mut Criterion) {
                 kernel::reduce::fold_map_scalar(black_box(&f64s), &|x: &f64| *x, &|a, b| a + b)
             })
         });
-        group.bench_with_input(BenchmarkId::new("reduce_wide", &size), &n, |b, _| {
-            b.iter(|| kernel::reduce::fold_map_wide(black_box(&f64s), &|x: &f64| *x, &|a, b| a + b))
+        group.bench_with_input(BenchmarkId::new("reduce_dispatched", &size), &n, |b, _| {
+            b.iter(|| kernel::reduce::fold_map(black_box(&f64s), &|x: &f64| *x, &|a, b| a + b))
         });
 
         group.throughput(criterion::Throughput::Bytes((n * 4) as u64));
@@ -42,8 +41,8 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("find_scalar", &size), &n, |b, _| {
             b.iter(|| kernel::compare::find_first_in_scalar(black_box(0..n), &absent))
         });
-        group.bench_with_input(BenchmarkId::new("find_wide", &size), &n, |b, _| {
-            b.iter(|| kernel::compare::find_first_in_wide(black_box(0..n), &absent))
+        group.bench_with_input(BenchmarkId::new("find_dispatched", &size), &n, |b, _| {
+            b.iter(|| kernel::compare::find_first_in(black_box(0..n), &absent))
         });
 
         group.throughput(criterion::Throughput::Bytes((n * 4) as u64));
@@ -51,8 +50,8 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("count_scalar", &size), &n, |b, _| {
             b.iter(|| kernel::partition::count_matches_scalar(black_box(&u32s), &even))
         });
-        group.bench_with_input(BenchmarkId::new("count_wide", &size), &n, |b, _| {
-            b.iter(|| kernel::partition::count_matches_wide(black_box(&u32s), &even))
+        group.bench_with_input(BenchmarkId::new("count_dispatched", &size), &n, |b, _| {
+            b.iter(|| kernel::partition::count_matches(black_box(&u32s), &even))
         });
 
         group.throughput(criterion::Throughput::Bytes((n * 4) as u64));

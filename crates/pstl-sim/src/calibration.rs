@@ -3,8 +3,9 @@
 //! The backend models fit their *vectorization* effect to the paper's
 //! compiler analysis (`vectorizes_reduce`, a theoretical 256-bit lane
 //! count). This repository also has a real kernel layer
-//! (`pstl::kernel`) whose scalar and wide paths can be *measured* on
-//! the host — the `kernel_calibrate` bin does exactly that and writes
+//! (`pstl::kernel`) whose dispatched entry points and scalar oracles
+//! can be *measured* on the host — the `kernel_calibrate` bin does
+//! exactly that and writes
 //! `results/BENCH_kernels.json`. A [`KernelCalibration`] carries those
 //! measured per-element times into the simulator, replacing the
 //! theoretical lane speedup with the observed one so model and reality
@@ -18,8 +19,10 @@ use serde::Serialize;
 
 use crate::kernels::DType;
 
-/// Measured scalar vs. wide per-element kernel times, in nanoseconds
-/// per element, on the machine the calibration ran on.
+/// Measured per-element kernel times, in nanoseconds per element, on
+/// the machine the calibration ran on: each `*_scalar_ns` field times a
+/// baseline-compiled `*_scalar` oracle, and each `*_wide_ns` field the
+/// dispatched entry point on the same input.
 ///
 /// Reduce and find are measured on *two* element types each (the
 /// vectorization gain depends on lane width: 4 f64 lanes vs. 8 u32
@@ -27,40 +30,42 @@ use crate::kernels::DType;
 /// matches [`crate::exec::RunParams::dtype`] instead of applying the
 /// f64 number to everything.
 ///
-/// `*_speedup()` accessors return the wide path's measured speedup
-/// (scalar / wide, ≥ values below 1.0 mean the wide path lost) and are
+/// `*_speedup()` accessors return the dispatched entry point's measured
+/// speedup (scalar / wide; values below 1.0 mean it lost) and are
 /// what [`crate::exec::CpuSim`] consumes.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelCalibration {
     /// Scalar reduce (sum of f64), ns per element.
     pub reduce_scalar_ns: f64,
-    /// Wide (tree-fold) reduce, ns per element.
+    /// Dispatched reduce (`fold_map`, tree body), ns per element.
     pub reduce_wide_ns: f64,
     /// Scalar reduce on u32 (the 4-byte integer row), ns per element.
     pub reduce_scalar_ns_u32: f64,
-    /// Wide (tree-fold) reduce on u32, ns per element.
+    /// Dispatched reduce on u32 (`fold_map`, left fold), ns per element.
     pub reduce_wide_ns_u32: f64,
     /// Scalar short-circuit find on u32 (matchless scan), ns per element.
     pub find_scalar_ns: f64,
-    /// Wide masked-block find on u32, ns per element.
+    /// Dispatched masked-block find on u32, ns per element.
     pub find_wide_ns: f64,
     /// Scalar short-circuit find on f64, ns per element.
     pub find_scalar_ns_f64: f64,
-    /// Wide masked-block find on f64, ns per element.
+    /// Dispatched masked-block find on f64, ns per element.
     pub find_wide_ns_f64: f64,
     /// Scalar scan phase-1 fold, ns per element.
     pub scan_scalar_ns: f64,
-    /// Wide scan phase-1 fold, ns per element.
+    /// Dispatched scan phase-1 fold (`fold_range`), ns per element.
     pub scan_wide_ns: f64,
 }
 
 impl KernelCalibration {
-    /// Measured wide-over-scalar speedup of the reduce kernel (f64 row).
+    /// Measured dispatched-over-scalar speedup of the reduce kernel (f64
+    /// row).
     pub fn reduce_speedup(&self) -> f64 {
         ratio(self.reduce_scalar_ns, self.reduce_wide_ns)
     }
 
-    /// Measured wide-over-scalar speedup of the find kernel (u32 row).
+    /// Measured dispatched-over-scalar speedup of the find kernel (u32
+    /// row).
     pub fn find_speedup(&self) -> f64 {
         ratio(self.find_scalar_ns, self.find_wide_ns)
     }
@@ -84,7 +89,7 @@ impl KernelCalibration {
         }
     }
 
-    /// Measured wide-over-scalar speedup of the scan fold pass.
+    /// Measured dispatched-over-scalar speedup of the scan fold pass.
     pub fn scan_speedup(&self) -> f64 {
         ratio(self.scan_scalar_ns, self.scan_wide_ns)
     }

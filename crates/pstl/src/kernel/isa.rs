@@ -111,7 +111,9 @@ fn detect() -> Level {
 /// [`level`], and `pub(crate) fn name_at(level, …)`, which runs it on
 /// the clone for `level` clamped to what the CPU supports (the hook the
 /// differential tests use). Generics go in square brackets, bounds
-/// inline.
+/// inline. A helper that `body` calls must be `#[inline(always)]`: LLVM
+/// may keep a plain `#[inline]` helper as one baseline-compiled copy
+/// that every clone jumps to, so the clones would run baseline code.
 macro_rules! dispatch {
     (
         $(#[$meta:meta])*

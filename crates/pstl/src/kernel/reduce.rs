@@ -1,8 +1,9 @@
 //! Fold kernels: `reduce` / `transform_reduce` leaves and the
-//! min/max/minmax block tournaments.
+//! min/max/minmax scans.
 //!
-//! The wide variants replace the serial left fold `((a⊕x0)⊕x1)⊕…` with a
-//! per-block reassociation tree over [`FOLD_LANES`] operands:
+//! For `f32`/`f64` accumulators the folds replace the serial left fold
+//! `((a⊕x0)⊕x1)⊕…` with a per-block reassociation tree over
+//! [`FOLD_LANES`] operands:
 //!
 //! ```text
 //! block = ((x0⊕x1)⊕(x2⊕x3)) ⊕ ((x4⊕x5)⊕(x6⊕x7))      acc = acc ⊕ block
@@ -18,18 +19,19 @@
 use std::cmp::Ordering;
 
 use super::isa::dispatch;
-use super::{FOLD_LANES, WIDE_DEFAULT};
+use super::{tree_fold, FOLD_LANES};
 
 dispatch! {
     /// Fold `f(x)` over `data` with `op` — the `transform_reduce` leaf.
-    /// Returns `None` on empty input. Dispatches on [`WIDE_DEFAULT`] and
-    /// the CPU's [`isa::level`](super::isa::level).
+    /// Returns `None` on empty input. Runs [`fold_map_wide`] for `f32`/`f64`
+    /// accumulators and [`fold_map_scalar`] otherwise, on the CPU's
+    /// [`isa::level`](super::isa::level).
     pub fn fold_map[T, U](
         data: &[T],
         f: &(impl Fn(&T) -> U + ?Sized),
         op: &(impl Fn(U, U) -> U + ?Sized),
     ) -> Option<U>, at fold_map_at {
-        if WIDE_DEFAULT {
+        if tree_fold::<U>() {
             fold_map_wide(data, f, op)
         } else {
             fold_map_scalar(data, f, op)
@@ -37,8 +39,9 @@ dispatch! {
     }
 }
 
-/// Scalar left fold of `f(x)` (the oracle path).
-#[inline]
+/// Scalar left fold of `f(x)`: the oracle, and the body for
+/// non-float accumulators.
+#[inline(always)]
 pub fn fold_map_scalar<T, U>(
     data: &[T],
     f: &(impl Fn(&T) -> U + ?Sized),
@@ -49,9 +52,10 @@ pub fn fold_map_scalar<T, U>(
     Some(iter.fold(first, |acc, x| op(acc, f(x))))
 }
 
-/// Wide tree fold of `f(x)`: [`FOLD_LANES`]-operand reassociation trees
-/// per block, remainder folded serially.
-#[inline]
+/// Tree fold of `f(x)`, the body for `f32`/`f64` accumulators:
+/// [`FOLD_LANES`]-operand reassociation trees per block, remainder
+/// folded serially.
+#[inline(always)]
 pub fn fold_map_wide<T, U>(
     data: &[T],
     f: &(impl Fn(&T) -> U + ?Sized),
@@ -82,8 +86,10 @@ pub fn fold_map_wide<T, U>(
 
 dispatch! {
     /// Fold `combine(&a[i], &b[i])` over two equal-length slices — the
-    /// `transform_reduce_binary` (inner product) leaf. Dispatches on
-    /// [`WIDE_DEFAULT`] and the CPU's [`isa::level`](super::isa::level).
+    /// `transform_reduce_binary` (inner product) leaf. Runs
+    /// [`fold_zip_wide`] for `f32`/`f64` accumulators and
+    /// [`fold_zip_scalar`] otherwise, on the CPU's
+    /// [`isa::level`](super::isa::level).
     ///
     /// # Panics
     /// Panics if the slices differ in length.
@@ -94,7 +100,7 @@ dispatch! {
         op: &(impl Fn(U, U) -> U + ?Sized),
     ) -> Option<U>, at fold_zip_at {
         assert_eq!(a.len(), b.len(), "fold_zip: length mismatch");
-        if WIDE_DEFAULT {
+        if tree_fold::<U>() {
             fold_zip_wide(a, b, combine, op)
         } else {
             fold_zip_scalar(a, b, combine, op)
@@ -102,8 +108,9 @@ dispatch! {
     }
 }
 
-/// Scalar left fold of `combine(&a[i], &b[i])`.
-#[inline]
+/// Scalar left fold of `combine(&a[i], &b[i])`: the oracle, and the
+/// body for non-float accumulators.
+#[inline(always)]
 pub fn fold_zip_scalar<T, S, U>(
     a: &[T],
     b: &[S],
@@ -121,8 +128,9 @@ pub fn fold_zip_scalar<T, S, U>(
     acc
 }
 
-/// Wide tree fold of `combine(&a[i], &b[i])`.
-#[inline]
+/// Tree fold of `combine(&a[i], &b[i])` over the common prefix, the body
+/// for `f32`/`f64` accumulators.
+#[inline(always)]
 pub fn fold_zip_wide<T, S, U>(
     a: &[T],
     b: &[S],
@@ -130,49 +138,44 @@ pub fn fold_zip_wide<T, S, U>(
     op: &(impl Fn(U, U) -> U + ?Sized),
 ) -> Option<U> {
     let n = a.len().min(b.len());
+    let mut ca = a[..n].chunks_exact(FOLD_LANES);
+    let mut cb = b[..n].chunks_exact(FOLD_LANES);
     let mut acc: Option<U> = None;
-    let mut i = 0;
-    while i + FOLD_LANES <= n {
-        let m01 = op(combine(&a[i], &b[i]), combine(&a[i + 1], &b[i + 1]));
-        let m23 = op(combine(&a[i + 2], &b[i + 2]), combine(&a[i + 3], &b[i + 3]));
-        let m45 = op(combine(&a[i + 4], &b[i + 4]), combine(&a[i + 5], &b[i + 5]));
-        let m67 = op(combine(&a[i + 6], &b[i + 6]), combine(&a[i + 7], &b[i + 7]));
+    for (x, y) in (&mut ca).zip(&mut cb) {
+        let m01 = op(combine(&x[0], &y[0]), combine(&x[1], &y[1]));
+        let m23 = op(combine(&x[2], &y[2]), combine(&x[3], &y[3]));
+        let m45 = op(combine(&x[4], &y[4]), combine(&x[5], &y[5]));
+        let m67 = op(combine(&x[6], &y[6]), combine(&x[7], &y[7]));
         let block = op(op(m01, m23), op(m45, m67));
         acc = Some(match acc {
             Some(a) => op(a, block),
             None => block,
         });
-        i += FOLD_LANES;
     }
-    while i < n {
-        let v = combine(&a[i], &b[i]);
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        let v = combine(x, y);
         acc = Some(match acc {
             Some(a) => op(a, v),
             None => v,
         });
-        i += 1;
     }
     acc
 }
 
 dispatch! {
     /// Index of the first minimum of `data` under `cmp` (C++
-    /// `min_element` tie rule: earliest wins). Dispatches on
-    /// [`WIDE_DEFAULT`] and the CPU's [`isa::level`](super::isa::level).
+    /// `min_element` tie rule: earliest wins), on the CPU's
+    /// [`isa::level`](super::isa::level). The body is the oracle's loop.
     pub fn min_index[T](
         data: &[T],
         cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
     ) -> Option<usize>, at min_index_at {
-        if WIDE_DEFAULT {
-            min_index_wide(data, cmp)
-        } else {
-            min_index_scalar(data, cmp)
-        }
+        min_index_scalar(data, cmp)
     }
 }
 
 /// Scalar first-minimum scan.
-#[inline]
+#[inline(always)]
 pub fn min_index_scalar<T>(
     data: &[T],
     cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
@@ -187,66 +190,21 @@ pub fn min_index_scalar<T>(
     best
 }
 
-/// Wide first-minimum: a [`FOLD_LANES`]-entry tournament per block. In
-/// every pick the earlier index is the left operand and wins ties, so
-/// the first-occurrence rule survives the tree exactly.
-#[inline]
-pub fn min_index_wide<T>(
-    data: &[T],
-    cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
-) -> Option<usize> {
-    // Earlier index first: later one wins only on strict less.
-    let pick = |i: usize, j: usize| {
-        if cmp(&data[j], &data[i]) == Ordering::Less {
-            j
-        } else {
-            i
-        }
-    };
-    let n = data.len();
-    let mut best: Option<usize> = None;
-    let mut i = 0;
-    while i + FOLD_LANES <= n {
-        let m01 = pick(i, i + 1);
-        let m23 = pick(i + 2, i + 3);
-        let m45 = pick(i + 4, i + 5);
-        let m67 = pick(i + 6, i + 7);
-        let w = pick(pick(m01, m23), pick(m45, m67));
-        best = Some(match best {
-            Some(b) => pick(b, w),
-            None => w,
-        });
-        i += FOLD_LANES;
-    }
-    while i < n {
-        best = Some(match best {
-            Some(b) => pick(b, i),
-            None => i,
-        });
-        i += 1;
-    }
-    best
-}
-
 dispatch! {
     /// Indices of the first minimum and the *last* maximum of `data`
-    /// under `cmp` (C++ `minmax_element` tie rules), in one pass.
-    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
-    /// [`isa::level`](super::isa::level).
+    /// under `cmp` (C++ `minmax_element` tie rules), in one pass, on the
+    /// CPU's [`isa::level`](super::isa::level). The body is the oracle's
+    /// loop.
     pub fn minmax_index[T](
         data: &[T],
         cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
     ) -> Option<(usize, usize)>, at minmax_index_at {
-        if WIDE_DEFAULT {
-            minmax_index_wide(data, cmp)
-        } else {
-            minmax_index_scalar(data, cmp)
-        }
+        minmax_index_scalar(data, cmp)
     }
 }
 
 /// Scalar one-pass minmax scan.
-#[inline]
+#[inline(always)]
 pub fn minmax_index_scalar<T>(
     data: &[T],
     cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
@@ -270,56 +228,6 @@ pub fn minmax_index_scalar<T>(
                 },
             ),
         });
-    }
-    mm
-}
-
-/// Wide one-pass minmax: parallel min and max tournaments per block,
-/// both tie rules preserved (earlier wins min ties, later wins max
-/// ties — every pick keeps the earlier index on the left).
-#[inline]
-pub fn minmax_index_wide<T>(
-    data: &[T],
-    cmp: &(impl Fn(&T, &T) -> Ordering + ?Sized),
-) -> Option<(usize, usize)> {
-    let pick_min = |i: usize, j: usize| {
-        if cmp(&data[j], &data[i]) == Ordering::Less {
-            j
-        } else {
-            i
-        }
-    };
-    let pick_max = |i: usize, j: usize| {
-        if cmp(&data[j], &data[i]) != Ordering::Less {
-            j
-        } else {
-            i
-        }
-    };
-    let n = data.len();
-    let mut mm: Option<(usize, usize)> = None;
-    let mut i = 0;
-    while i + FOLD_LANES <= n {
-        let lo = pick_min(
-            pick_min(pick_min(i, i + 1), pick_min(i + 2, i + 3)),
-            pick_min(pick_min(i + 4, i + 5), pick_min(i + 6, i + 7)),
-        );
-        let hi = pick_max(
-            pick_max(pick_max(i, i + 1), pick_max(i + 2, i + 3)),
-            pick_max(pick_max(i + 4, i + 5), pick_max(i + 6, i + 7)),
-        );
-        mm = Some(match mm {
-            Some((alo, ahi)) => (pick_min(alo, lo), pick_max(ahi, hi)),
-            None => (lo, hi),
-        });
-        i += FOLD_LANES;
-    }
-    while i < n {
-        mm = Some(match mm {
-            Some((alo, ahi)) => (pick_min(alo, i), pick_max(ahi, i)),
-            None => (i, i),
-        });
-        i += 1;
     }
     mm
 }
@@ -393,18 +301,18 @@ mod tests {
     }
 
     #[test]
-    fn min_index_tie_rule_first_wins_on_both_paths() {
+    fn min_index_tie_rule_first_wins() {
         let ord = |a: &u64, b: &u64| a.cmp(b);
         for n in [0usize, 1, 8, 9, 100] {
             let data = vec![5u64; n];
             let expect = (n > 0).then_some(0);
             assert_eq!(min_index_scalar(&data, &ord), expect, "scalar n={n}");
-            assert_eq!(min_index_wide(&data, &ord), expect, "wide n={n}");
+            assert_eq!(min_index(&data, &ord), expect, "dispatched n={n}");
         }
         for n in [3usize, 10, 64, 257, 4096] {
             let data = scrambled(n);
             assert_eq!(
-                min_index_wide(&data, &ord),
+                min_index(&data, &ord),
                 min_index_scalar(&data, &ord),
                 "n={n}"
             );
@@ -416,11 +324,11 @@ mod tests {
         let ord = |a: &u64, b: &u64| a.cmp(b);
         let data = vec![7u64; 100];
         assert_eq!(minmax_index_scalar(&data, &ord), Some((0, 99)));
-        assert_eq!(minmax_index_wide(&data, &ord), Some((0, 99)));
+        assert_eq!(minmax_index(&data, &ord), Some((0, 99)));
         for n in [1usize, 8, 9, 63, 64, 1000] {
             let data = scrambled(n);
             assert_eq!(
-                minmax_index_wide(&data, &ord),
+                minmax_index(&data, &ord),
                 minmax_index_scalar(&data, &ord),
                 "n={n}"
             );

@@ -2,10 +2,11 @@
 //! (phase 3) loops of the three-phase parallel scan, shared with the
 //! sequential fallback.
 //!
-//! Phase 1 only needs the chunk *total*, so it is a fold and gets the
-//! same [`FOLD_LANES`]-operand reassociation tree as
-//! [`super::reduce`] — grouping changes, operand order does not, so any
-//! associative `op` (including non-commutative ones) is exact. Phase 3
+//! Phase 1 only needs the chunk *total*, so it is a fold and follows
+//! the same rule as [`super::reduce`]: `f32`/`f64` accumulators take the
+//! [`FOLD_LANES`]-operand reassociation tree, every other type the left
+//! fold. Grouping changes, operand order does not, so any associative
+//! `op` (including non-commutative ones) is exact. Phase 3
 //! must emit every running prefix in order; that recurrence is
 //! inherently serial, so [`scan_range_into`] and [`scan_in_place`] have
 //! a single ordered implementation each — the point of putting them
@@ -14,19 +15,20 @@
 use std::ops::Range;
 
 use super::isa::dispatch;
-use super::{FOLD_LANES, WIDE_DEFAULT};
+use super::{tree_fold, FOLD_LANES};
 
 dispatch! {
     /// Fold `get(i)` over `range` with `op` — the scan phase-1
-    /// chunk-total kernel (also usable as a standalone range fold).
-    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// chunk-total kernel (also usable as a standalone range fold). Runs
+    /// [`fold_range_wide`] for `f32`/`f64` accumulators and
+    /// [`fold_range_scalar`] otherwise, on the CPU's
     /// [`isa::level`](super::isa::level).
     pub fn fold_range[
         U,
         G: Fn(usize) -> U + ?Sized,
         F: Fn(&U, &U) -> U + ?Sized,
     ](range: Range<usize>, get: &G, op: &F) -> Option<U>, at fold_range_at {
-        if WIDE_DEFAULT {
+        if tree_fold::<U>() {
             fold_range_wide(range, get, op)
         } else {
             fold_range_scalar(range, get, op)
@@ -34,8 +36,9 @@ dispatch! {
     }
 }
 
-/// Scalar left fold of `get(i)`.
-#[inline]
+/// Scalar left fold of `get(i)`: the oracle, and the body for non-float
+/// accumulators.
+#[inline(always)]
 pub fn fold_range_scalar<U, G, F>(range: Range<usize>, get: &G, op: &F) -> Option<U>
 where
     G: Fn(usize) -> U + ?Sized,
@@ -52,9 +55,10 @@ where
     acc
 }
 
-/// Wide tree fold of `get(i)`: [`FOLD_LANES`]-operand reassociation
-/// trees per block, remainder folded serially.
-#[inline]
+/// Tree fold of `get(i)`, the body for `f32`/`f64` accumulators:
+/// [`FOLD_LANES`]-operand reassociation trees per block, remainder
+/// folded serially.
+#[inline(always)]
 pub fn fold_range_wide<U, G, F>(range: Range<usize>, get: &G, op: &F) -> Option<U>
 where
     G: Fn(usize) -> U + ?Sized,
@@ -87,12 +91,13 @@ where
 
 dispatch! {
     /// Fold a slice by reference — the in-place scan's phase-1 kernel
-    /// (no per-element clones; at most one clone on tiny inputs).
-    /// Dispatches on [`WIDE_DEFAULT`] and the CPU's
+    /// (no per-element clones; at most one clone on tiny inputs). Runs
+    /// [`fold_slice_wide`] for `f32`/`f64` elements and
+    /// [`fold_slice_scalar`] otherwise, on the CPU's
     /// [`isa::level`](super::isa::level).
     pub fn fold_slice[T: Clone, F: Fn(&T, &T) -> T + ?Sized](data: &[T], op: &F) -> Option<T>,
     at fold_slice_at {
-        if WIDE_DEFAULT {
+        if tree_fold::<T>() {
             fold_slice_wide(data, op)
         } else {
             fold_slice_scalar(data, op)
@@ -100,8 +105,9 @@ dispatch! {
     }
 }
 
-/// Scalar by-reference left fold.
-#[inline]
+/// Scalar by-reference left fold: the oracle, and the body for
+/// non-float elements.
+#[inline(always)]
 pub fn fold_slice_scalar<T, F>(data: &[T], op: &F) -> Option<T>
 where
     T: Clone,
@@ -117,8 +123,8 @@ where
     acc
 }
 
-/// Wide by-reference tree fold.
-#[inline]
+/// By-reference tree fold, the body for `f32`/`f64` elements.
+#[inline(always)]
 pub fn fold_slice_wide<T, F>(data: &[T], op: &F) -> Option<T>
 where
     T: Clone,
@@ -149,7 +155,7 @@ where
 /// Sequentially scan `range` of the input into `dst`
 /// (`dst.len() == range.len()`), seeded with `running` — the shared
 /// phase-3 / sequential-fallback prefix loop of every out-of-place
-/// scan. Inherently ordered; no wide variant exists.
+/// scan. Inherently ordered.
 pub fn scan_range_into<U, G, F>(
     dst: &mut [U],
     range: Range<usize>,
@@ -183,7 +189,7 @@ pub fn scan_range_into<U, G, F>(
 /// In-place inclusive running prefix over `data`, seeded with `running`
 /// — the shared loop of `inclusive_scan_in_place` (sequential arm with
 /// no seed, parallel phase 3 with the chunk offset). Inherently
-/// ordered; no wide variant exists.
+/// ordered.
 pub fn scan_in_place<T, F>(data: &mut [T], mut running: Option<T>, op: &F)
 where
     T: Clone,

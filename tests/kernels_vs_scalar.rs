@@ -1,18 +1,18 @@
-//! Differential suite for the kernel layer (ISSUE 7): the wide
-//! (SIMD-shaped) paths must be observationally equivalent to their
-//! scalar oracles — directly, kernel vs. kernel, and end-to-end through
-//! every kernel-routed algorithm on all three pool disciplines × all
-//! partitioners.
+//! Differential suite for the kernel layer: every dispatched entry
+//! point, and each `f32`/`f64` fold's tree body (`*_wide`), must be
+//! observationally equivalent to its scalar oracle — directly, kernel
+//! vs. kernel, and end-to-end through every kernel-routed algorithm on
+//! all three pool disciplines × all partitioners.
 //!
 //! Equivalence is *exact* everywhere except f32/f64 reduction, where
-//! the wide path's tree reassociation legitimately changes rounding
-//! (the same latitude C++ `std::reduce` takes); there the suite checks
-//! a summation-error bound instead. Arbitrary lengths (including 0,
-//! below one SIMD block, and non-multiples of every block size) plus
-//! arbitrary sub-slice heads exercise unaligned head/tail handling.
-//!
-//! Runs identically with `--features simd` on and off: both dispatch
-//! paths are always compiled, the feature only flips the default.
+//! the tree's reassociation legitimately changes rounding (the same
+//! latitude C++ `std::reduce` takes); there the suite checks a
+//! summation-error bound instead. The tree bodies are called directly
+//! on integers and strings too, which dispatch sends to the left fold,
+//! so an operand-order bug cannot hide behind float rounding. Arbitrary
+//! lengths (including 0, below one block, and non-multiples of every
+//! block size) plus arbitrary sub-slice heads exercise unaligned
+//! head/tail handling.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -143,11 +143,11 @@ proptest! {
         let n = d.len();
         let pred = |i: usize| d[i] == needle;
         prop_assert_eq!(
-            kernel::compare::find_first_in_wide(0..n, &pred),
+            kernel::compare::find_first_in(0..n, &pred),
             kernel::compare::find_first_in_scalar(0..n, &pred)
         );
         prop_assert_eq!(
-            kernel::compare::find_last_in_wide(0..n, &pred),
+            kernel::compare::find_last_in(0..n, &pred),
             kernel::compare::find_last_in_scalar(0..n, &pred)
         );
     }
@@ -157,24 +157,24 @@ proptest! {
         let d = offcut(&data, head);
         let pred = |x: &i64| x % m == 0;
         prop_assert_eq!(
-            kernel::partition::count_matches_wide(d, &pred),
+            kernel::partition::count_matches(d, &pred),
             kernel::partition::count_matches_scalar(d, &pred)
         );
-        let mut w: Vec<(usize, i64)> = Vec::new();
-        let mut s: Vec<(usize, i64)> = Vec::new();
-        kernel::partition::compact_each_wide(d, &pred, &mut |rank, x: &i64| w.push((rank, *x)));
-        kernel::partition::compact_each_scalar(d, &pred, &mut |rank, x: &i64| s.push((rank, *x)));
-        prop_assert_eq!(w, s);
+        let mut got: Vec<(usize, i64)> = Vec::new();
+        let mut want: Vec<(usize, i64)> = Vec::new();
+        kernel::partition::compact_each(d, &pred, &mut |rank, x: &i64| got.push((rank, *x)));
+        kernel::partition::compact_each_scalar(d, &pred, &mut |rank, x: &i64| want.push((rank, *x)));
+        prop_assert_eq!(got, want);
     }
 
     #[test]
     fn split_paths_agree(data in vec_i64(), m in 1i64..7) {
         let pred = |x: &i64| x % m == 0;
-        let run = |wide: bool| {
+        let run = |oracle: bool| {
             let mut t: Vec<(usize, i64)> = Vec::new();
             let mut f: Vec<(usize, i64)> = Vec::new();
-            if wide {
-                kernel::partition::split_each_wide(
+            if !oracle {
+                kernel::partition::split_each(
                     &data, &pred,
                     &mut |i, x: &i64| t.push((i, *x)),
                     &mut |i, x: &i64| f.push((i, *x)),
@@ -193,15 +193,15 @@ proptest! {
 
     #[test]
     fn min_and_minmax_paths_agree_on_ties(data in prop::collection::vec(0i64..8, 0..200)) {
-        // Tiny value range forces heavy duplication: the paths must
-        // pick the same tied index (first min, last max).
+        // Tiny value range forces heavy duplication: dispatch and oracle
+        // must pick the same tied index (first min, last max).
         let cmp = |a: &i64, b: &i64| a.cmp(b);
         prop_assert_eq!(
-            kernel::reduce::min_index_wide(&data, &cmp),
+            kernel::reduce::min_index(&data, &cmp),
             kernel::reduce::min_index_scalar(&data, &cmp)
         );
         prop_assert_eq!(
-            kernel::reduce::minmax_index_wide(&data, &cmp),
+            kernel::reduce::minmax_index(&data, &cmp),
             kernel::reduce::minmax_index_scalar(&data, &cmp)
         );
     }
