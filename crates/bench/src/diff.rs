@@ -121,7 +121,7 @@ fn join(prefix: &str, seg: &str) -> String {
 /// Flatten every numeric leaf to a `(dotted.path, value)` pair.
 pub fn flatten(v: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
     match v {
-        Value::Number(x) => out.push((prefix.to_string(), *x)),
+        Value::Number(x) => out.extend(x.as_f64().map(|x| (prefix.to_string(), x))),
         Value::Object(fields) => {
             for (k, child) in fields {
                 flatten(child, &join(prefix, k), out);
@@ -361,6 +361,34 @@ mod tests {
         assert_eq!(lines.len(), 1, "absolute time_ms is filtered out");
         assert_eq!(lines[0].path, "serial_fraction");
         assert!(lines[0].regressed);
+    }
+
+    /// The gate's self-test: a 30% slowdown injected into every `mean`
+    /// and task-duration `p99` of the committed profile baseline must
+    /// fail the default 25% band, and the untouched copy must pass.
+    #[test]
+    fn injected_slowdown_of_the_committed_profile_is_flagged() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_profile.json"
+        );
+        let committed = v(&std::fs::read_to_string(path).expect("committed profile baseline"));
+        assert!(!has_regression(&diff(&committed, &committed, 0.25, false)));
+        let mut slower = committed.clone();
+        let benchmarks = committed["benchmarks"].as_array().map_or(0, Vec::len);
+        assert!(benchmarks > 0, "the baseline has measurements");
+        for i in 0..benchmarks {
+            let mean = slower
+                .pointer_mut(&format!("/benchmarks/{i}/stats/mean"))
+                .unwrap();
+            *mean = v(&format!("{}", mean.as_f64().unwrap() * 1.30));
+            let p99 = format!("/benchmarks/{i}/latency/task_duration_ns/p99");
+            if let Some(p99) = slower.pointer_mut(&p99) {
+                *p99 = v(&format!("{}", (p99.as_f64().unwrap() * 1.30) as u64));
+            }
+        }
+        let lines = diff(&committed, &slower, 0.25, false);
+        assert!(has_regression(&lines), "{}", render(&lines, 0.25));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! compiler analysis (`vectorizes_reduce`, a theoretical 256-bit lane
 //! count). This repository also has a real kernel layer
 //! (`pstl::kernel`) whose dispatched entry points and scalar oracles
-//! can be *measured* on the host — the `kernel_calibrate` bin does
+//! can be *measured* on the host — `suite kernel_calibrate` does
 //! exactly that and writes
 //! `results/BENCH_kernels.json`. A [`KernelCalibration`] carries those
 //! measured per-element times into the simulator, replacing the

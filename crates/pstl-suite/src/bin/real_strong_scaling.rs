@@ -19,7 +19,7 @@ use pstl_suite::backends::BackendHost;
 use pstl_suite::output::{Figure, Panel, Series};
 use pstl_suite::{kernels, workload};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut max_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(2);
@@ -160,9 +160,5 @@ fn main() {
         y_label: "speedup vs GCC-SEQ".into(),
         panels,
     };
-    print!("{}", fig.render());
-    match fig.save() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    fig.emit()
 }

@@ -19,7 +19,7 @@ use pstl_suite::backends::BackendHost;
 use pstl_suite::output::{TableDoc, TableRow};
 use pstl_suite::{kernels, workload};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut threads = std::env::var("PSTL_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -80,9 +80,5 @@ fn main() {
         ],
         rows,
     };
-    print!("{}", table.render());
-    match table.save() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    table.emit()
 }

@@ -62,10 +62,9 @@ fn main() {
     println!("tracing {key}: best of {ITERS} iterations = {best_ns} ns");
 
     let dir = out_dir();
-    let _ = std::fs::create_dir_all(&dir);
     let mine = dir.join(format!("trace_overhead_{key}.json"));
     let body = format!("{{\n  \"tracing\": \"{key}\",\n  \"best_ns\": {best_ns}\n}}\n");
-    if let Err(e) = std::fs::write(&mine, body) {
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&mine, body)) {
         eprintln!("could not write {}: {e}", mine.display());
         std::process::exit(2);
     }

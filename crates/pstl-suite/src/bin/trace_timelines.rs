@@ -30,7 +30,7 @@ use pstl_suite::output::{results_dir, TableDoc, TableRow};
 use pstl_suite::{kernels, workload};
 use pstl_trace::{chrome, stats};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut threads = std::env::var("PSTL_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -120,19 +120,15 @@ fn main() {
                     kernel,
                     size_exp
                 ));
-                if let Some(parent) = file.parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                match std::fs::write(&file, chrome::trace_json(&log)) {
-                    Ok(()) => println!(
-                        "{:>9}/{:<14} {:>7} events -> {}",
-                        backend.name(),
-                        kernel,
-                        log.event_count(),
-                        file.display()
-                    ),
-                    Err(e) => eprintln!("could not write {}: {e}", file.display()),
-                }
+                std::fs::create_dir_all(&trace_dir)?;
+                std::fs::write(&file, chrome::trace_json(&log))?;
+                println!(
+                    "{:>9}/{:<14} {:>7} events -> {}",
+                    backend.name(),
+                    kernel,
+                    log.event_count(),
+                    file.display()
+                );
             }
         }
     }
@@ -152,11 +148,7 @@ fn main() {
         rows,
     };
     println!();
-    print!("{}", table.render());
-    match table.save() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write results JSON: {e}"),
-    }
+    table.emit()
 }
 
 /// Run one invocation of `kernel` under `policy`, returning wall time.

@@ -183,6 +183,19 @@ pub fn build_arm_prediction() -> TableDoc {
     }
 }
 
+/// `suite ablations`: print and write the four ablation tables.
+pub fn run() -> std::io::Result<()> {
+    for table in [
+        build_sort_flavor(),
+        build_hpx_decomposition(),
+        build_placement(),
+        build_arm_prediction(),
+    ] {
+        table.emit()?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

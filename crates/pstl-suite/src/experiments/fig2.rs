@@ -6,40 +6,19 @@ use pstl_sim::kernels::Kernel;
 use pstl_sim::machine::all_machines;
 use pstl_sim::Backend;
 
-use crate::experiments::{paper_size_sweep, time};
-use crate::output::{Figure, Panel, Series};
+use crate::experiments::problem_series;
+use crate::output::{Figure, Panel};
 
 /// Build the figure: one panel per machine × k_it.
 pub fn build() -> Figure {
-    let sizes = paper_size_sweep();
-    let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
     let mut panels = Vec::new();
     for machine in all_machines() {
         for k_it in [1u32, 1000] {
             let kernel = Kernel::ForEach { k_it };
-            let mut series = Vec::new();
-            // Sequential baseline, single thread.
-            series.push(Series::new(
-                "GCC-SEQ",
-                xs.clone(),
-                sizes
-                    .iter()
-                    .map(|&n| time(&machine, Backend::GccSeq, kernel, n, 1))
-                    .collect(),
-            ));
-            for backend in Backend::paper_cpu_set() {
-                series.push(Series::new(
-                    backend.name(),
-                    xs.clone(),
-                    sizes
-                        .iter()
-                        .map(|&n| time(&machine, backend, kernel, n, machine.cores))
-                        .collect(),
-                ));
-            }
+            let backends = Backend::paper_cpu_set();
             panels.push(Panel {
                 title: format!("{} k_it={}", machine.name, k_it),
-                series,
+                series: problem_series(&machine, kernel, &backends, machine.cores),
             });
         }
     }
@@ -55,6 +34,7 @@ pub fn build() -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::Series;
 
     fn series<'f>(fig: &'f Figure, panel_substr: &str, label: &str) -> &'f Series {
         fig.panels

@@ -6,7 +6,7 @@ use pstl_sim::kernels::Kernel;
 use pstl_sim::machine::all_machines;
 use pstl_sim::Backend;
 
-use crate::experiments::{speedup, N_LARGE};
+use crate::experiments::strong_series;
 use crate::output::{Figure, Panel, Series};
 
 /// Build the figure: one panel per machine × k_it; an `ideal` series is
@@ -14,21 +14,11 @@ use crate::output::{Figure, Panel, Series};
 pub fn build() -> Figure {
     let mut panels = Vec::new();
     for machine in all_machines() {
-        let threads = machine.thread_sweep();
-        let xs: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
+        let xs: Vec<f64> = machine.thread_sweep().iter().map(|&t| t as f64).collect();
         for k_it in [1u32, 1000] {
             let kernel = Kernel::ForEach { k_it };
             let mut series = vec![Series::new("ideal", xs.clone(), xs.clone())];
-            for backend in Backend::paper_cpu_set() {
-                series.push(Series::new(
-                    backend.name(),
-                    xs.clone(),
-                    threads
-                        .iter()
-                        .map(|&t| speedup(&machine, backend, kernel, N_LARGE, t))
-                        .collect(),
-                ));
-            }
+            series.extend(strong_series(&machine, kernel, &Backend::paper_cpu_set()));
             panels.push(Panel {
                 title: format!("{} k_it={}", machine.name, k_it),
                 series,

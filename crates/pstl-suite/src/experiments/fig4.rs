@@ -5,73 +5,16 @@ use pstl_sim::kernels::Kernel;
 use pstl_sim::machine::mach_b;
 use pstl_sim::Backend;
 
-use crate::experiments::{paper_size_sweep, speedup, time, N_LARGE};
-use crate::output::{Figure, Panel, Series};
+use crate::experiments::scaling_figure;
+use crate::output::Figure;
 
 /// Build the two-panel figure.
 pub fn build() -> Figure {
-    let machine = mach_b();
-    let kernel = Kernel::Find;
-
-    // Panel (a): problem scaling, 64 threads, plus the sequential series.
-    let sizes = paper_size_sweep();
-    let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
-    let mut problem_series = vec![Series::new(
-        "GCC-SEQ",
-        xs.clone(),
-        sizes
-            .iter()
-            .map(|&n| time(&machine, Backend::GccSeq, kernel, n, 1))
-            .collect(),
-    )];
-    for backend in Backend::paper_cpu_set() {
-        if backend == Backend::IccTbb {
-            continue; // not measured on Mach B (paper Table 5: N/A)
-        }
-        problem_series.push(Series::new(
-            backend.name(),
-            xs.clone(),
-            sizes
-                .iter()
-                .map(|&n| time(&machine, backend, kernel, n, machine.cores))
-                .collect(),
-        ));
-    }
-
-    // Panel (b): strong scaling at 2^30.
-    let threads = machine.thread_sweep();
-    let txs: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
-    let mut strong_series = Vec::new();
-    for backend in Backend::paper_cpu_set() {
-        if backend == Backend::IccTbb {
-            continue;
-        }
-        strong_series.push(Series::new(
-            backend.name(),
-            txs.clone(),
-            threads
-                .iter()
-                .map(|&t| speedup(&machine, backend, kernel, N_LARGE, t))
-                .collect(),
-        ));
-    }
-
-    Figure {
-        id: "fig4_find".into(),
-        title: "X::find on Mach B (Zen 1)".into(),
-        x_label: "elements / threads".into(),
-        y_label: "time [s] / speedup".into(),
-        panels: vec![
-            Panel {
-                title: "(a) problem scaling, 64 threads".into(),
-                series: problem_series,
-            },
-            Panel {
-                title: "(b) strong scaling, 2^30 elements".into(),
-                series: strong_series,
-            },
-        ],
-    }
+    // ICC-TBB was not measured on Mach B (paper Table 5: N/A).
+    let mut backends = Backend::paper_cpu_set();
+    backends.retain(|b| *b != Backend::IccTbb);
+    let id = ("fig4_find", "X::find on Mach B (Zen 1)");
+    scaling_figure(id, &mach_b(), Kernel::Find, &backends, 64)
 }
 
 #[cfg(test)]

@@ -8,80 +8,21 @@ use pstl_sim::kernels::Kernel;
 use pstl_sim::machine::mach_c;
 use pstl_sim::Backend;
 
-use crate::experiments::{paper_size_sweep, speedup, time, N_LARGE};
-use crate::output::{Figure, Panel, Series};
-
-/// Backends shown in this figure (GNU excluded).
-fn scan_backends() -> Vec<Backend> {
-    Backend::paper_cpu_set()
-        .into_iter()
-        .filter(|b| *b != Backend::GccGnu)
-        .collect()
-}
+use crate::experiments::scaling_figure;
+use crate::output::Figure;
 
 /// Build the two-panel figure.
 pub fn build() -> Figure {
-    let machine = mach_c();
-    let kernel = Kernel::InclusiveScan;
-
-    let sizes = paper_size_sweep();
-    let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
-    let mut problem_series = vec![Series::new(
-        "GCC-SEQ",
-        xs.clone(),
-        sizes
-            .iter()
-            .map(|&n| time(&machine, Backend::GccSeq, kernel, n, 1))
-            .collect(),
-    )];
-    for backend in scan_backends() {
-        problem_series.push(Series::new(
-            backend.name(),
-            xs.clone(),
-            sizes
-                .iter()
-                .map(|&n| time(&machine, backend, kernel, n, machine.cores))
-                .collect(),
-        ));
-    }
-
-    let threads = machine.thread_sweep();
-    let txs: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
-    let strong_series = scan_backends()
-        .into_iter()
-        .map(|backend| {
-            Series::new(
-                backend.name(),
-                txs.clone(),
-                threads
-                    .iter()
-                    .map(|&t| speedup(&machine, backend, kernel, N_LARGE, t))
-                    .collect(),
-            )
-        })
-        .collect();
-
-    Figure {
-        id: "fig5_scan".into(),
-        title: "X::inclusive_scan on Mach C (Zen 3)".into(),
-        x_label: "elements / threads".into(),
-        y_label: "time [s] / speedup".into(),
-        panels: vec![
-            Panel {
-                title: "(a) problem scaling, 128 threads".into(),
-                series: problem_series,
-            },
-            Panel {
-                title: "(b) strong scaling, 2^30 elements".into(),
-                series: strong_series,
-            },
-        ],
-    }
+    let mut backends = Backend::paper_cpu_set();
+    backends.retain(|b| *b != Backend::GccGnu);
+    let id = ("fig5_scan", "X::inclusive_scan on Mach C (Zen 3)");
+    scaling_figure(id, &mach_c(), Kernel::InclusiveScan, &backends, 128)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::Series;
 
     fn strong<'f>(fig: &'f Figure, label: &str) -> &'f Series {
         fig.panels[1]

@@ -5,67 +5,13 @@ use pstl_sim::kernels::Kernel;
 use pstl_sim::machine::mach_a;
 use pstl_sim::Backend;
 
-use crate::experiments::{paper_size_sweep, speedup, time, N_LARGE};
-use crate::output::{Figure, Panel, Series};
+use crate::experiments::scaling_figure;
+use crate::output::Figure;
 
 /// Build the two-panel figure.
 pub fn build() -> Figure {
-    let machine = mach_a();
-    let kernel = Kernel::Reduce;
-
-    let sizes = paper_size_sweep();
-    let xs: Vec<f64> = sizes.iter().map(|&n| n as f64).collect();
-    let mut problem_series = vec![Series::new(
-        "GCC-SEQ",
-        xs.clone(),
-        sizes
-            .iter()
-            .map(|&n| time(&machine, Backend::GccSeq, kernel, n, 1))
-            .collect(),
-    )];
-    for backend in Backend::paper_cpu_set() {
-        problem_series.push(Series::new(
-            backend.name(),
-            xs.clone(),
-            sizes
-                .iter()
-                .map(|&n| time(&machine, backend, kernel, n, machine.cores))
-                .collect(),
-        ));
-    }
-
-    let threads = machine.thread_sweep();
-    let txs: Vec<f64> = threads.iter().map(|&t| t as f64).collect();
-    let strong_series = Backend::paper_cpu_set()
-        .into_iter()
-        .map(|backend| {
-            Series::new(
-                backend.name(),
-                txs.clone(),
-                threads
-                    .iter()
-                    .map(|&t| speedup(&machine, backend, kernel, N_LARGE, t))
-                    .collect(),
-            )
-        })
-        .collect();
-
-    Figure {
-        id: "fig6_reduce".into(),
-        title: "X::reduce on Mach A (Skylake)".into(),
-        x_label: "elements / threads".into(),
-        y_label: "time [s] / speedup".into(),
-        panels: vec![
-            Panel {
-                title: "(a) problem scaling, 32 threads".into(),
-                series: problem_series,
-            },
-            Panel {
-                title: "(b) strong scaling, 2^30 elements".into(),
-                series: strong_series,
-            },
-        ],
-    }
+    let id = ("fig6_reduce", "X::reduce on Mach A (Skylake)");
+    scaling_figure(id, &mach_a(), Kernel::Reduce, &Backend::paper_cpu_set(), 32)
 }
 
 #[cfg(test)]

@@ -28,8 +28,10 @@ use pstl::{find, ExecutionPolicy, ParConfig, Partitioner};
 use pstl_executor::{build_pool, Discipline, Executor};
 use pstl_sim::{SchedSim, SimDiscipline};
 use serde::Serialize;
+use serde_json::Value;
 
-use crate::output::{Figure, Panel, Series};
+use crate::gate::{items, labels, Gates, Need};
+use crate::output::{write_json, Figure, Panel, Series};
 
 /// Elements scanned; large enough that a full drain dwarfs dispatch
 /// overhead, small enough for CI.
@@ -320,6 +322,74 @@ pub fn build_figure(bench: &BenchFind) -> Figure {
                 series: sim_series,
             },
         ],
+    }
+}
+
+/// `suite ext_find_position`: measure, print the figure and the counter
+/// deltas, and write the figure plus `BENCH_find.json`.
+pub fn run() -> std::io::Result<()> {
+    let bench = bench();
+    let fig = build_figure(&bench);
+    fig.emit()?;
+
+    println!("counter deltas per position:");
+    for sweep in &bench.real {
+        for p in &sweep.points {
+            println!(
+                "  {:<9} {:<7} {:>8.3} ms ({:.3}x absent), {} early exits, {:>3} wasted chunks",
+                sweep.mode, p.position, p.time_ms, p.time_vs_absent, p.early_exits, p.wasted_chunks
+            );
+        }
+    }
+    let path = write_json("BENCH_find", &bench)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+/// The set of `field` values of the array `v`, sorted.
+fn set_of<'a>(v: &'a Value, field: &str) -> Option<Vec<&'a str>> {
+    let mut set = labels(v, field);
+    set.sort_unstable();
+    set.dedup();
+    Some(set)
+}
+
+/// The gates on `BENCH_find.json`. Per partitioner mode, a front (≈1%)
+/// match finishes in under half the absent-match time with exactly one
+/// early exit, some wasted chunks (never more than the static plan's
+/// tasks), and an absent match exits nothing early; the model's front
+/// match scans under half the input.
+pub fn check(doc: &Value, _committed: &Value, g: &mut Gates) {
+    use Need::*;
+    g.list(doc, "/real", "mode", &["static", "guided", "adaptive"]);
+    for (i, sweep) in items(&doc["real"]).iter().enumerate() {
+        let at = format!("/real/{i}/points/*/position");
+        let want = vec!["absent", "back", "front", "middle"];
+        g.gate(&at, set_of(&sweep["points"], "position"), Equal, want);
+        let point = |position: &str, key: &str| {
+            let points = items(&sweep["points"]).iter();
+            let j = points
+                .take_while(|p| p["position"].as_str() != Some(position))
+                .count();
+            format!("/real/{i}/points/{j}/{key}")
+        };
+        g.num(doc, &point("front", "time_vs_absent"), Below, 0.5);
+        g.int(doc, &point("front", "early_exits"), Equal, 1);
+        g.int(doc, &point("front", "wasted_chunks"), AtLeast, 1);
+        g.int(doc, &point("absent", "early_exits"), Equal, 0);
+        g.int(doc, &point("absent", "wasted_chunks"), Equal, 0);
+        if sweep["mode"].as_str() == Some("static") {
+            let planned = doc["planned_tasks"].as_u64();
+            g.int(doc, &point("front", "wasted_chunks"), AtMost, planned);
+        }
+    }
+    let disciplines = set_of(&doc["sim"], "discipline");
+    let want = vec!["adaptive", "guided", "static"];
+    g.gate("/sim/*/discipline", disciplines, Equal, want);
+    for (j, p) in items(&doc["sim"]).iter().enumerate() {
+        if p["position"].as_str() == Some("front") {
+            g.num(doc, &format!("/sim/{j}/scanned_fraction"), Below, 0.5);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
-//! Measure the kernel layer's dispatched entry points against their
-//! scalar oracles on this host and write the `results/BENCH_kernels.json`
-//! baseline.
+//! `suite kernel_calibrate`: measure the kernel layer's dispatched
+//! entry points against their scalar oracles on this host and write the
+//! `results/BENCH_kernels.json` baseline.
 //!
 //! Every row times a dispatched `pstl::kernel` entry point, which runs
 //! the clone for this CPU's `kernel::isa::level()`, against the
@@ -28,8 +28,9 @@
 //! with these measured ones. Its `*_wide_ns` fields hold the dispatched
 //! rows.
 //!
-//! With `--check`, exits non-zero unless the acceptance gates hold: the
-//! dispatched f64 reduce and u32 find ≤ 0.7× their oracle's time
+//! `PSTL_CAL_N` (default 2^20) and `PSTL_CAL_REPS` (default 9) set the
+//! input size and the repetitions. [`check`] holds the acceptance gates:
+//! the dispatched f64 reduce and u32 find ≤ 0.7× their oracle's time
 //! (speedup ≥ 1/0.7), every dispatched row ≤ 1.1× its oracle's time,
 //! the u64 sort leaf ≤ 1.25× the time of `slice::sort_unstable`, and,
 //! on a host at `x86-64-v3` or above, the dispatched digest ≥ 1.5× the
@@ -42,9 +43,12 @@ use pstl::kernel::isa::{self, Level};
 use pstl::kernel::{compare, reduce, scan};
 use pstl_harness::Stats;
 use pstl_sim::{Backend, CpuSim, Kernel, KernelCalibration, RunParams};
-use pstl_suite::experiments::stream::{self, mix, Record};
-use pstl_suite::results_dir;
 use serde::Serialize;
+use serde_json::Value;
+
+use super::stream::{self, mix, Record};
+use crate::gate::{entry, items, Gates, Need};
+use crate::output::write_json;
 
 /// The dispatched f64 reduce and u32 find must be at least this much
 /// faster than their oracles (time ratio ≤ 0.7 ⇒ speedup ≥ 1/0.7).
@@ -207,8 +211,7 @@ fn row(
     }
 }
 
-fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+pub fn run() -> std::io::Result<()> {
     let n: usize = std::env::var("PSTL_CAL_N")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -359,66 +362,37 @@ fn main() {
         calibration,
     };
 
-    let path = results_dir().join("BENCH_kernels.json");
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => match std::fs::write(&path, json + "\n") {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("could not serialize report: {e}"),
-    }
+    let path = write_json("BENCH_kernels", &report)?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
 
-    if check {
-        let mut failed = false;
-        let mut gate = |label: &str, got: f64, want: f64| {
-            let ok = got >= want;
-            println!(
-                "  gate {label}: {got:.2}x (need >= {want:.2}x) {}",
-                if ok { "ok" } else { "FAIL" }
-            );
-            failed |= !ok;
-        };
-        let speedup = |name: &str| {
-            let row = report.kernels.iter().find(|r| r.name == name);
-            row.expect("every gated row is measured").speedup
-        };
-        println!("acceptance gates (--check):");
-        gate(
-            "reduce fold_map<=0.7x fold_map_scalar",
-            speedup("reduce_f64_sum"),
-            GATE_DISPATCH_SPEEDUP,
-        );
-        gate(
-            "find   find_first_in<=0.7x find_first_in_scalar",
-            speedup("find_u32_absent"),
-            GATE_DISPATCH_SPEEDUP,
-        );
-        for r in report.kernels.iter().filter(|r| r.wide_path != SORT.1) {
-            gate(
-                &format!("floor  {} dispatched<=1.1x scalar", r.name),
-                r.speedup,
-                GATE_DISPATCH_FLOOR,
-            );
-        }
-        gate(
-            "sort   introsort<=1.25x sort_unstable",
-            speedup("sort_u64_leaf"),
-            GATE_SORT_LEAF,
-        );
-        if isa::level() >= Level::V3 {
-            gate(
-                "digest dispatched>=1.5x baseline",
-                speedup("digest_u32x64"),
-                GATE_ISA_DIGEST,
-            );
-        } else {
-            println!("  gate digest dispatched>=1.5x baseline: n/a (baseline-only host)");
-        }
-        if failed {
-            std::process::exit(1);
-        }
+/// The acceptance gates on `BENCH_kernels.json` (see the module docs).
+/// The digest gate applies when the document's `kernel_isa` is
+/// `x86-64-v3` or above.
+pub fn check(doc: &Value, _committed: &Value, g: &mut Gates) {
+    let speedup = |name: &str| entry(&doc["kernels"], "name", name)["speedup"].as_f64();
+    let mut gates = vec![
+        ("reduce_f64_sum", GATE_DISPATCH_SPEEDUP),
+        ("find_u32_absent", GATE_DISPATCH_SPEEDUP),
+        ("sort_u64_leaf", GATE_SORT_LEAF),
+    ];
+    // Every dispatched row against its oracle (the sort rows time std).
+    let dispatched = items(&doc["kernels"])
+        .iter()
+        .filter(|r| r["wide_path"].as_str() != Some(SORT.1));
+    gates.extend(dispatched.map(|r| (r["name"].as_str().unwrap_or("?"), GATE_DISPATCH_FLOOR)));
+    let isa = items(&doc["context"])
+        .iter()
+        .find(|kv| kv[0].as_str() == Some("kernel_isa"));
+    let isa = isa.and_then(|kv| kv[1].as_str()).unwrap_or("unknown");
+    if [Level::V3, Level::V4].iter().any(|l| l.to_string() == isa) {
+        gates.push(("digest_u32x64", GATE_ISA_DIGEST));
+    } else {
+        println!("  gate digest_u32x64 speedup >= {GATE_ISA_DIGEST}: n/a (kernel isa {isa})");
+    }
+    for (name, bound) in gates {
+        let label = format!("{name} speedup");
+        g.gate(&label, speedup(name), Need::AtLeast, bound);
     }
 }

@@ -36,8 +36,10 @@ use pstl_sim::machine::{all_machines, mach_arm_hypothetical, Machine};
 use pstl_sim::memory::PagePlacement;
 use pstl_sim::{Backend, CpuSim, RunParams, SchedSim, VictimOrder, REMOTE_DRAM_FACTOR};
 use serde::Serialize;
+use serde_json::Value;
 
-use crate::output::{TableDoc, TableRow};
+use crate::gate::{items, Gates, Need};
+use crate::output::{write_json, TableDoc, TableRow};
 
 /// Tasks in the simulated skewed run.
 pub const SIM_TASKS: usize = 4096;
@@ -282,6 +284,66 @@ pub fn build_table(bench: &BenchNuma) -> TableDoc {
         columns,
         rows,
     }
+}
+
+/// `suite ext_numa_real`: run the sweep, print the table, each
+/// machine's simulated steal mix and the real pool's counters, and
+/// write the table plus `BENCH_numa.json`.
+pub fn run() -> std::io::Result<()> {
+    let bench = bench();
+    build_table(&bench).emit()?;
+
+    println!(
+        "simulated steal mix (skewed work, grain {}):",
+        bench.sim_grain
+    );
+    for m in &bench.machines {
+        for s in &m.steal_mix {
+            println!(
+                "  {:<18} {:<12} makespan {:>8.1}  local {:>5}  remote {:>5}  ({:.0}% local)",
+                m.machine,
+                s.order,
+                s.makespan,
+                s.local_steals,
+                s.remote_steals,
+                s.local_fraction * 100.0
+            );
+        }
+    }
+    let p = &bench.pool;
+    println!(
+        "\nreal WS pool ({} threads, {} nodes): steals {} = local {} + remote {}; flat remote {}",
+        p.threads, p.nodes, p.steals, p.local_steals, p.remote_steals, p.flat_remote_steals
+    );
+    let path = write_json("BENCH_numa", &bench)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+/// The gates on `BENCH_numa.json`: per machine, the blind then the
+/// two-tier victim order, two-tier steals at least as local as blind
+/// ones and never remote on one node; the real pool's steals partition
+/// into local + remote, and a flat pool steals nothing remotely.
+pub fn check(doc: &Value, _committed: &Value, g: &mut Gates) {
+    use Need::*;
+    let machines = items(&doc["machines"]);
+    g.gate("/machines length", Some(machines.len()), AtLeast, 1);
+    for (i, m) in machines.iter().enumerate() {
+        let mix = format!("/machines/{i}/steal_mix");
+        g.list(doc, &mix, "order", &["blind", "local_first"]);
+        let blind = m["steal_mix"][0]["local_fraction"].as_f64();
+        g.num(doc, &format!("{mix}/1/local_fraction"), AtLeast, blind);
+        if m["numa_nodes"].as_u64() == Some(1) {
+            g.int(doc, &format!("{mix}/1/remote_steals"), Equal, 0);
+        }
+    }
+    let pool = &doc["pool"];
+    let local = pool["local_steals"].as_u64();
+    let sum = local
+        .zip(pool["remote_steals"].as_u64())
+        .map(|(l, r)| l + r);
+    g.int(doc, "/pool/steals", Equal, sum);
+    g.int(doc, "/pool/flat_remote_steals", Equal, 0);
 }
 
 #[cfg(test)]

@@ -28,6 +28,10 @@ use std::time::Duration;
 use pstl::{for_each, ExecutionPolicy, ParConfig, Partitioner};
 use pstl_executor::{build_pool, Discipline};
 use pstl_harness::{Bench, BenchConfig, Measurement, Report};
+use serde_json::Value;
+
+use crate::gate::{items, labels, Gates, Need};
+use crate::output::results_dir;
 
 /// Elements per iteration: small enough for CI, large enough that the
 /// pools split into hundreds of tasks per run.
@@ -160,6 +164,92 @@ pub fn build_with(config: BenchConfig) -> Report {
 /// The `BENCH_profile.json` report with the default loop config.
 pub fn build() -> Report {
     build_with(default_config())
+}
+
+/// `suite ext_profile`: measure, print the table plus each point's
+/// latency percentiles and trace profile, and write
+/// `BENCH_profile.json`.
+pub fn run() -> std::io::Result<()> {
+    if !pstl_trace::enabled() {
+        eprintln!(
+            "warning: built without the `trace` feature — latency histograms and \
+             profiles will be empty; rebuild with `--features trace`"
+        );
+    }
+    let report = build();
+    print!("{}", pstl_harness::print_table(&report.benchmarks));
+
+    println!("\nlatency percentiles and trace profiles:");
+    for m in &report.benchmarks {
+        println!("  {}", m.name);
+        if let Some(lat) = &m.latency {
+            let hists = [
+                ("task duration", &lat.task_duration_ns),
+                ("steal latency", &lat.steal_latency_ns),
+                ("claim size", &lat.claim_size),
+            ];
+            for (what, h) in hists.iter().filter_map(|(w, h)| Some((w, h.as_ref()?))) {
+                let (p50, p99, count) = (h.p50, h.p99, h.count);
+                println!("    {what:<14} p50 {p50:>8}, p99 {p99:>8} ({count} samples)");
+            }
+        }
+        if let Some(p) = &m.profile {
+            println!(
+                "    profile: util {:.2} [{:.2}..{:.2}], critical path {:.3} ms \
+                 ({:.0}% of span, {} tasks), serial {:.0}%, bottleneck: {}",
+                p.utilization,
+                p.util_min,
+                p.util_max,
+                p.critical_path_ns as f64 / 1e6,
+                p.critical_path_fraction * 100.0,
+                p.critical_path_tasks,
+                p.serial_fraction * 100.0,
+                p.bottleneck
+            );
+        }
+        if m.latency.is_none() && m.profile.is_none() {
+            println!("    (no trace data — build with `--features trace`)");
+        }
+    }
+    let path = results_dir().join("BENCH_profile.json");
+    report.write_json(&path)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+const BOTTLENECKS: [&str; 4] = ["balanced", "imbalance", "scheduling_overhead", "serialized"];
+
+/// The gates on `BENCH_profile.json`: the four points, one of them
+/// skewed, each with ordered task-duration percentiles and a trace
+/// profile whose utilization is a fraction and whose bottleneck is a
+/// known class. Without the `trace` feature the latency and profile
+/// sections are empty and these gates fail.
+pub fn check(doc: &Value, _committed: &Value, g: &mut Gates) {
+    use Need::*;
+    g.text(doc, "/experiment", "ext_profile");
+    let benchmarks = items(&doc["benchmarks"]);
+    g.gate("/benchmarks length", Some(benchmarks.len()), Equal, 4);
+    let names = labels(&doc["benchmarks"], "name");
+    let skewed = names.iter().filter(|n| n.contains("skewed")).count();
+    g.gate("skewed /benchmarks", Some(skewed), AtLeast, 1);
+    for (i, m) in benchmarks.iter().enumerate() {
+        let td = &m["latency"]["task_duration_ns"];
+        let at = format!("/benchmarks/{i}/latency/task_duration_ns");
+        g.int(doc, &format!("{at}/p50"), Above, 0);
+        g.int(doc, &format!("{at}/p99"), AtLeast, td["p50"].as_u64());
+        g.int(doc, &format!("{at}/p999"), AtLeast, td["p99"].as_u64());
+        let at = format!("/benchmarks/{i}/profile");
+        g.num(doc, &format!("{at}/utilization"), AtLeast, 0.0);
+        g.num(doc, &format!("{at}/utilization"), AtMost, 1.0 + 1e-9);
+        let bottleneck = m["profile"]["bottleneck"].as_str().unwrap_or("missing");
+        let known = Some(BOTTLENECKS.contains(&bottleneck));
+        g.gate(
+            &format!("{at}/bottleneck `{bottleneck}` known"),
+            known,
+            Equal,
+            true,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -27,8 +27,10 @@ use std::time::{Duration, Instant};
 use pstl::{for_each, ExecutionPolicy, ParConfig, Partitioner};
 use pstl_executor::{build_pool, Discipline, Executor};
 use serde::Serialize;
+use serde_json::Value;
 
-use crate::output::{Figure, Panel, Series};
+use crate::gate::{entry, items, Gates, Need};
+use crate::output::{write_json, Figure, Panel, Series};
 
 /// Elements in the skewed sweep.
 pub const N: usize = 256;
@@ -216,6 +218,55 @@ pub fn build_figure(bench: &BenchPartitioner) -> Figure {
             series,
         }],
     }
+}
+
+/// `suite ext_skewed_real`: measure, print the figure, the dispatch
+/// counts and the speedups, and write the figure plus
+/// `BENCH_partitioner.json`.
+pub fn run() -> std::io::Result<()> {
+    let bench = bench();
+    let fig = build_figure(&bench);
+    fig.emit()?;
+
+    println!("uniform dispatch (n = 2^16, grain 1024):");
+    for d in &bench.uniform_dispatch {
+        println!(
+            "  {:<9} planned {:>3} tasks, executed {:>3} fragments, {:>2} splits",
+            d.mode, d.planned_tasks, d.executed_tasks, d.splits
+        );
+    }
+    println!("\nspeedup vs static:");
+    for (label, s) in &bench.speedup_vs_static {
+        let cols: Vec<String> = bench
+            .factors
+            .iter()
+            .zip(s)
+            .map(|(f, v)| format!("{f}x: {v:.2}"))
+            .collect();
+        println!("  {:<9} {}", label, cols.join("  "));
+    }
+    let path = write_json("BENCH_partitioner", &bench)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+/// The gates on `BENCH_partitioner.json`: the three modes in order, one
+/// makespan per skew factor, and adaptive dispatch on uniform work
+/// within the static plan's task count.
+pub fn check(doc: &Value, _committed: &Value, g: &mut Gates) {
+    use Need::*;
+    let modes = items(&doc["makespan_ms"])
+        .iter()
+        .map(|m| m[0].as_str().unwrap_or("?"));
+    let want = vec!["static", "guided", "adaptive"];
+    g.gate("/makespan_ms/*/0", Some(modes.collect()), Equal, want);
+    let len = |at: &str| doc.pointer(at).and_then(Value::as_array).map(Vec::len);
+    let (makespans, factors) = (len("/makespan_ms/0/1"), len("/factors"));
+    g.gate("/makespan_ms/0/1 length", makespans, Equal, factors);
+    let ud = |mode: &str, key: &str| entry(&doc["uniform_dispatch"], "mode", mode)[key].as_u64();
+    let executed = ud("adaptive", "executed_tasks");
+    let planned = ud("static", "planned_tasks");
+    g.gate("adaptive executed_tasks", executed, AtMost, planned);
 }
 
 #[cfg(test)]

@@ -24,12 +24,12 @@
 //! `r = 1, 2` on a 2-thread work-stealing pool. It asks what a pipeline
 //! costs next to the loop it replaces: `gates.farm2_over_seq_ratio`
 //! (farm(2) elapsed over the sequential map) is held at ≤ 1.5 in the
-//! committed baseline.
+//! committed baseline (≤ 2.0 by [`check`]).
 //!
 //! The gate is a time *ratio* between rows measured back-to-back on
 //! one machine, so it is machine-independent: the committed
-//! `results/BENCH_stream.json` is regenerated by the `ext_stream`
-//! binary and diffed by CI with `bench-diff --ratios-only`. Each row
+//! `results/BENCH_stream.json` is regenerated by `suite ext_stream`
+//! and diffed by CI with `bench-diff --ratios-only`. Each row
 //! keeps the best of [`Params::reps`] runs (min elapsed), so one noisy
 //! sample cannot set a ratio.
 
@@ -41,6 +41,10 @@ use pstl::kernel;
 use pstl::stream::{Pipeline, StreamStats};
 use pstl_executor::{build_pool, Discipline, Executor};
 use serde::Serialize;
+use serde_json::Value;
+
+use crate::gate::{self, Need};
+use crate::output::write_json;
 
 /// Pool threads. The engine runs `min(threads, stages)` cooperative
 /// drivers; three covers source + farm + sink with one to spare.
@@ -419,19 +423,81 @@ pub fn build() -> StreamDoc {
     build_with(default_params())
 }
 
-impl StreamDoc {
-    /// Pretty JSON (the committed `BENCH_stream.json` content).
-    pub fn json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("doc serialization cannot fail")
+/// `suite ext_stream`: measure every row, print one line per row and
+/// the gate ratios, and write `BENCH_stream.json`.
+pub fn run() -> std::io::Result<()> {
+    let doc = build();
+
+    println!(
+        "streaming rows ({} items each, {} threads, farm x{}, capacity {}; \
+         probe rows {} records, {} threads):\n",
+        doc.items, doc.threads, doc.farm_replicas, doc.capacity, PROBE_RECORDS, PROBE_THREADS
+    );
+    println!(
+        "{:<18} {:>8} {:>11} {:>12} {:>11} {:>18}",
+        "row", "ordered", "elapsed us", "M items/s", "push waits", "checksum"
+    );
+    for row in &doc.rows {
+        println!(
+            "{:<18} {:>8} {:>11.1} {:>12.2} {:>11} {:>18x}",
+            row.name,
+            row.ordered,
+            row.elapsed_ns as f64 / 1e3,
+            row.throughput_items_per_sec / 1e6,
+            row.push_waits,
+            row.checksum
+        );
+        assert_eq!(row.produced, row.consumed, "flow imbalance in {}", row.name);
+        assert_eq!(row.dropped, 0, "clean run dropped items in {}", row.name);
     }
 
-    /// Write the JSON document to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
+    println!("\n{:?} (committed baseline: both <= 1.5)", doc.gates);
+    let path = write_json("BENCH_stream", &doc)?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+/// The gates on `BENCH_stream.json`: the six rows in order with exact
+/// flow accounting; the deterministic word count and probe digest equal
+/// the `committed` baseline's, the ordered and unordered image farms
+/// agree, and the probe farms agree with the sequential map; both
+/// ratios ≤ 2.0 on a re-measurement.
+pub fn check(doc: &Value, committed: &Value, g: &mut gate::Gates) {
+    use Need::*;
+    g.text(doc, "/experiment", "ext_stream");
+    let names = [
+        "wordcount",
+        "image_unordered",
+        "image_ordered",
+        "probe_seq_map",
+        "probe_farm1",
+        "probe_farm2",
+    ];
+    g.list(doc, "/rows", "name", &names);
+    let rows = gate::items(&doc["rows"]);
+    for (i, row) in rows.iter().enumerate() {
+        let items = row["items"].as_u64();
+        g.int(doc, &format!("/rows/{i}/produced"), Equal, items);
+        g.int(doc, &format!("/rows/{i}/consumed"), Equal, items);
+        g.int(doc, &format!("/rows/{i}/dropped"), Equal, 0);
+        if i < 3 {
+            let at = format!("/rows/{i}/items");
+            g.int(doc, &at, Equal, doc["items"].as_u64());
         }
-        std::fs::write(path, format!("{}\n", self.json()))
     }
+    let sum = |doc: &Value, i: usize| doc["rows"][i]["checksum"].as_u64();
+    let mut pairs = vec![
+        (0, "committed", sum(committed, 0)),
+        (2, "/rows/1", sum(doc, 1)),
+        (3, "committed", sum(committed, 3)),
+    ];
+    pairs.extend((4..rows.len()).map(|i| (i, "/rows/3", sum(doc, 3))));
+    for (i, of, want) in pairs {
+        let at = format!("/rows/{i}/checksum vs {of}");
+        g.gate(&at, sum(doc, i), Equal, want);
+    }
+    g.num(doc, "/gates/ordered_farm_makespan_ratio", AtMost, 2.0);
+    g.num(doc, "/gates/farm2_over_seq_ratio", AtMost, 2.0);
 }
 
 #[cfg(test)]
@@ -480,7 +546,7 @@ mod tests {
     fn json_document_carries_the_gate_keys() {
         let _turn = serial();
         let doc = build_with(quick_params());
-        let v: serde_json::Value = serde_json::from_str(&doc.json()).unwrap();
+        let v: Value = serde_json::from_str(&serde_json::to_string(&doc).unwrap()).unwrap();
         for gate in ["ordered_farm_makespan_ratio", "farm2_over_seq_ratio"] {
             assert!(
                 v["gates"][gate].as_f64().is_some(),

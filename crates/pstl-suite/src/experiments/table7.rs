@@ -56,6 +56,26 @@ pub fn build_measured(target_dir: &std::path::Path) -> TableDoc {
     }
 }
 
+/// `suite table7_binsize`: print and write the size table, then
+/// measure the release binaries next to the running executable (when
+/// there are any).
+pub fn run() -> std::io::Result<()> {
+    build().emit()?;
+    // The executable sits in `<target>/release/`; measure that directory.
+    let target = std::env::current_exe()
+        .ok()
+        .and_then(|exe| Some(exe.parent()?.parent()?.to_path_buf()));
+    if let Some(target) = target {
+        let measured = build_measured(&target);
+        if measured.rows.is_empty() {
+            println!("(no release binaries found to measure — run with --release)");
+        } else {
+            measured.emit()?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,11 +10,13 @@
 //!   `pstl_bench` binary and the criterion benches drive.
 //! * **Simulated mode** — the [`experiments`] modules sweep the
 //!   `pstl-sim` models of the paper's five machines to regenerate every
-//!   figure and table of the evaluation section; one binary per
-//!   figure/table (see `src/bin/`).
+//!   figure and table of the evaluation section. The `suite` binary runs
+//!   them by name from [`experiments::REGISTRY`] and holds the measured
+//!   extensions' baselines to their [`gate`]s.
 
 pub mod backends;
 pub mod experiments;
+pub mod gate;
 pub mod kernels;
 pub mod output;
 pub mod workload;

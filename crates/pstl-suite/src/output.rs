@@ -1,11 +1,13 @@
 //! Structured figure/table documents and their text/JSON rendering.
 //!
-//! Each experiment binary produces one [`Figure`] (line-series panels,
-//! like the paper's plots) or one [`TableDoc`], prints a readable text
+//! Each `suite` experiment produces [`Figure`]s (line-series panels,
+//! like the paper's plots) or [`TableDoc`]s, prints a readable text
 //! rendering, and writes the JSON next to `EXPERIMENTS.md` under
-//! `results/` so the numbers in the docs are regenerable.
+//! `results/` so the numbers in the docs are regenerable. The measured
+//! extensions also write a `BENCH_*.json` baseline with [`write_json`].
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
@@ -102,9 +104,10 @@ impl Figure {
         out
     }
 
-    /// Write JSON under the results directory; returns the path.
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        save_json(&self.id, self)
+    /// Print the rendering, then write the JSON under the results
+    /// directory.
+    pub fn emit(&self) -> io::Result<()> {
+        emit(&self.id, &self.render(), self)
     }
 }
 
@@ -137,20 +140,34 @@ impl TableDoc {
         out
     }
 
-    /// Write JSON under the results directory; returns the path.
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        save_json(&self.id, self)
+    /// Print the rendering, then write the JSON under the results
+    /// directory.
+    pub fn emit(&self) -> io::Result<()> {
+        emit(&self.id, &self.render(), self)
     }
 }
 
-/// The directory experiment JSON goes to: `$PSTL_RESULTS` or `results/`
-/// relative to the workspace root (falling back to the current
-/// directory).
+fn emit<T: Serialize>(id: &str, text: &str, doc: &T) -> io::Result<()> {
+    println!("{text}");
+    println!("wrote {}\n", write_json(id, doc)?.display());
+    Ok(())
+}
+
+/// The directory experiment JSON goes to: `$PSTL_RESULTS` or
+/// [`baseline_dir`].
 pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("PSTL_RESULTS") {
-        return PathBuf::from(dir);
+    match std::env::var("PSTL_RESULTS") {
+        Ok(dir) => PathBuf::from(dir),
+        Err(_) => baseline_dir(),
     }
-    // Prefer the workspace root (where Cargo.toml with [workspace] lives).
+}
+
+/// Where the committed `BENCH_*.json` baselines live: `results/` at the
+/// workspace root (the directory holding `Cargo.toml` and `crates/`), falling
+/// back to `results/` under the current directory. `$PSTL_RESULTS`
+/// does not move it, so a run redirected elsewhere is still checked
+/// against the committed files.
+pub fn baseline_dir() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
         if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
@@ -162,8 +179,10 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
-fn save_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<PathBuf> {
-    let path = results_dir().join(format!("{id}.json"));
+/// Write `value` as pretty JSON to `<results_dir>/<name>.json`, creating
+/// the directory; returns the path.
+pub fn write_json<T: Serialize>(name: &str, value: &T) -> io::Result<PathBuf> {
+    let path = results_dir().join(format!("{name}.json"));
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
@@ -172,6 +191,13 @@ fn save_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<PathBuf> {
         serde_json::to_string_pretty(value).expect("serialization cannot fail") + "\n",
     )?;
     Ok(path)
+}
+
+/// Parse the JSON document at `path`.
+pub fn read_json(path: &Path) -> io::Result<serde_json::Value> {
+    let located = |e: &dyn std::fmt::Display| io::Error::other(format!("{}: {e}", path.display()));
+    let text = std::fs::read_to_string(path).map_err(|e| located(&e))?;
+    serde_json::from_str(&text).map_err(|e| located(&e))
 }
 
 /// Format an x coordinate: powers of two as `2^k`, other values plainly.
@@ -265,7 +291,7 @@ mod tests {
             columns: vec![],
             rows: vec![],
         };
-        let path = t.save().unwrap();
+        let path = write_json(&t.id, &t).unwrap();
         assert!(path.starts_with(&dir));
         assert!(path.exists());
         std::env::remove_var("PSTL_RESULTS");
