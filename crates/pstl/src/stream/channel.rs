@@ -1,8 +1,9 @@
 //! The bounded inter-stage channel of the streaming layer.
 //!
 //! Every edge of a pipeline is one `Edge`: a [`RingChannel`] whose
-//! slots carry *batches* of items, plus an item count that makes the
-//! edge's capacity exact in items. Capacity is the backpressure
+//! slots carry *batches* of items (each stamped once with the source
+//! sequence number of its first item), plus an item count that makes
+//! the edge's capacity exact in items. Capacity is the backpressure
 //! mechanism (a full edge stalls the producing stage, never blocks it
 //! — the engine is cooperative, so "waiting" means the stage worker
 //! moves on to other stages and retries on its next visit). The ring
@@ -205,9 +206,19 @@ impl<T> Drop for RingChannel<T> {
     }
 }
 
+/// Items that cross an edge together. The source numbers its items
+/// consecutively and every node maps a batch 1:1 and in order, so a
+/// batch is a run of consecutive sequence numbers and one stamp, the
+/// first item's, orders it.
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct Batch<T> {
+    pub(super) seq: u64,
+    pub(super) items: Vec<T>,
+}
+
 /// What a consumer's pop on an [`Edge`] found.
 pub(super) enum PopResult<T> {
-    Batch(Vec<T>),
+    Batch(Batch<T>),
     Empty,
     EndOfStream,
 }
@@ -217,7 +228,7 @@ pub(super) enum PopResult<T> {
 /// still-active producers feeding it. The last producer to finish
 /// closes the ring.
 pub(super) struct Edge<T> {
-    ring: RingChannel<Vec<T>>,
+    ring: RingChannel<Batch<T>>,
     /// Items reserved on this edge: from just before the push of their
     /// batch until just after the pop that takes it.
     items: AtomicUsize,
@@ -241,8 +252,8 @@ impl<T: Send> Edge<T> {
 
     /// Push a non-empty batch of at most `capacity` items, or hand it
     /// back if the edge has no room for all of them.
-    pub(super) fn try_push(&self, batch: Vec<T>) -> Result<(), Vec<T>> {
-        let n = batch.len();
+    pub(super) fn try_push(&self, batch: Batch<T>) -> Result<(), Batch<T>> {
+        let n = batch.items.len();
         debug_assert!(n > 0 && n <= self.capacity, "batch of {n} items");
         if !self.reserve(n) {
             return Err(batch);
@@ -278,7 +289,7 @@ impl<T: Send> Edge<T> {
         let closed = self.ring.is_closed();
         match self.ring.try_pop() {
             Some(batch) => {
-                self.items.fetch_sub(batch.len(), Ordering::Relaxed);
+                self.items.fetch_sub(batch.items.len(), Ordering::Relaxed);
                 PopResult::Batch(batch)
             }
             None if closed => PopResult::EndOfStream,
@@ -298,8 +309,8 @@ impl<T: Send> Edge<T> {
     pub(super) fn drain(&self) -> u64 {
         let mut n = 0;
         while let Some(batch) = self.ring.try_pop() {
-            self.items.fetch_sub(batch.len(), Ordering::Relaxed);
-            n += batch.len() as u64;
+            self.items.fetch_sub(batch.items.len(), Ordering::Relaxed);
+            n += batch.items.len() as u64;
         }
         n
     }
@@ -412,6 +423,11 @@ mod tests {
         let expect: Vec<u32> = (0..2 * n).collect();
         assert_eq!(all, expect, "lost or duplicated items");
     }
+    /// A batch of `items` stamped with sequence number 0.
+    fn batch(items: Vec<u32>) -> Batch<u32> {
+        Batch { seq: 0, items }
+    }
+
     #[test]
     fn edge_hands_back_the_reservation_when_the_ring_refuses() {
         let edge = Edge::<u32>::new(3, 1);
@@ -419,15 +435,15 @@ mod tests {
         // reservation holds meets a full ring (what a spurious full
         // looks like to the pusher).
         for _ in 0..3 {
-            edge.ring.try_push(Vec::new()).unwrap();
+            edge.ring.try_push(batch(Vec::new())).unwrap();
         }
-        assert_eq!(edge.try_push(vec![7]), Err(vec![7]));
+        assert_eq!(edge.try_push(batch(vec![7])), Err(batch(vec![7])));
         assert_eq!(edge.queued(), 0, "reservation handed back");
         assert_eq!(edge.drain(), 0);
-        assert_eq!(edge.try_push(vec![1, 2, 3]), Ok(()));
+        assert_eq!(edge.try_push(batch(vec![1, 2, 3])), Ok(()));
         assert_eq!(
-            edge.try_push(vec![4]),
-            Err(vec![4]),
+            edge.try_push(batch(vec![4])),
+            Err(batch(vec![4])),
             "items, not batches, are bounded"
         );
         assert_eq!(edge.queued(), 3);
@@ -438,9 +454,16 @@ mod tests {
     #[test]
     fn edge_close_after_last_producer_ends_the_stream() {
         let edge = Edge::<u32>::new(4, 2);
-        edge.try_push(vec![1, 2]).unwrap();
+        edge.try_push(Batch {
+            seq: 5,
+            items: vec![1, 2],
+        })
+        .unwrap();
         edge.producer_done();
-        assert!(matches!(edge.pop_or_eos(), PopResult::Batch(b) if b == [1, 2]));
+        assert!(matches!(
+            edge.pop_or_eos(),
+            PopResult::Batch(Batch { seq: 5, items }) if items == [1, 2]
+        ));
         assert!(
             matches!(edge.pop_or_eos(), PopResult::Empty),
             "one producer left"
@@ -467,12 +490,12 @@ mod tests {
                     let mut next = 0;
                     while next < n {
                         let len = (1 + next % 2).min(n - next);
-                        let mut batch: Vec<u32> = (next..next + len).map(|i| p * n + i).collect();
+                        let mut pushed = batch((next..next + len).map(|i| p * n + i).collect());
                         loop {
-                            match edge.try_push(batch) {
+                            match edge.try_push(pushed) {
                                 Ok(()) => break,
                                 Err(back) => {
-                                    batch = back;
+                                    pushed = back;
                                     std::thread::yield_now();
                                 }
                             }
@@ -489,8 +512,8 @@ mod tests {
                     loop {
                         match edge.pop_or_eos() {
                             PopResult::Batch(b) => {
-                                assert!(!b.is_empty() && b.len() <= 2);
-                                got.extend(b);
+                                assert!(!b.items.is_empty() && b.items.len() <= 2);
+                                got.extend(b.items);
                             }
                             PopResult::Empty => std::thread::yield_now(),
                             PopResult::EndOfStream => break,

@@ -8,28 +8,33 @@
 //! any new worker machinery: `run(M, driver)` is called once with
 //! `M = min(threads, replicas)` *driver* bodies, and each driver loops
 //! over every replica round-robin, claiming one at a time with a
-//! `try_lock` and stepping it for a bounded burst.
+//! `try_lock` and stepping it for a bounded claim (up to `CLAIM` items).
 //!
 //! Items move in *batches* of up to `min(capacity, BURST)`: the source
 //! fills a batch, a plain stage or farm replica maps a popped batch in
 //! order into one output batch, the reorder node releases whole
-//! in-order batches, and the sink consumes a batch per pop. A hop is
-//! paid once per batch. The edge still bounds its queue at exactly
-//! `capacity` *items* (see [`super::channel`]); on top of that each
-//! node holds at most one batch (popped, in hand, or mapped and
-//! waiting to be pushed), except the reorder node, which buffers early
-//! batches.
+//! in-order batches, and the sink consumes a batch per pop. A hop, a
+//! sequence stamp and every piece of drop bookkeeping are paid once per
+//! batch; per item the engine only moves the item and calls the user's
+//! closures, a stage's map statically dispatched inside the batch loop. The
+//! edge still bounds its queue at exactly `capacity` *items* (see
+//! [`super::channel`]); on top of that each node holds at most one batch
+//! (popped, in hand, or mapped and waiting to be pushed), except the
+//! reorder node, which buffers early batches.
 //!
 //! *Fusion.* When the pool has fewer threads than the pipeline has
 //! nodes, some driver steps several nodes in turn anyway, so a farm of
 //! two or more replicas takes over its neighbors' work and saves their
 //! hops: its replicas pull batches straight from the source iterator
 //! (no source node, no edge in front of the farm), and the replicas of
-//! an unordered farm right before the sink call the sink themselves,
-//! item by item right after the map, whenever they can claim it (first
-//! consuming whatever is queued on the edge). The source iterator and
-//! the sink closure still run on one thread at a time: each lives in a
-//! core behind a lock, held by whoever pulls or consumes. With a thread
+//! an unordered farm right before the sink map each batch straight into
+//! the sink whenever they can claim it, and push the mapped batch onto
+//! the edge otherwise. A replica that holds the sink feeds it, after
+//! each item of its own, one item that another replica queued on the
+//! edge, so the sink's closure (often a lock and a push) runs beside a
+//! map instead of back to back. The source iterator and the sink closure
+//! still run on one thread at a time: each lives in a core behind a
+//! lock, held by whoever pulls or consumes. With a thread
 //! for every node nothing is fused, so each node keeps its own driver;
 //! a lone replica keeps its neighbors too, since fusing would serialize
 //! them.
@@ -54,7 +59,7 @@
 //!   [`PipelineError`](super::PipelineError) with the first-panicking
 //!   stage's index (first panic wins, like the pools);
 //! * a tripped [`CancelToken`] poisons the run the same way with skip
-//!   semantics — drivers notice within one burst-bounded pass.
+//!   semantics — drivers notice within one claim-bounded pass.
 //!
 //! After `run` returns, the *caller* (which now has exclusive access)
 //! drains every node (the unmapped rest of a batch, the item in hand,
@@ -63,7 +68,7 @@
 //! every exit path — the drop-balance contract the chaos suite checks.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -71,20 +76,21 @@ use parking_lot::Mutex;
 use pstl_executor::runtime;
 use pstl_executor::{CancelToken, Executor};
 
-use super::channel::{Edge, PopResult};
+use super::channel::{Batch, Edge, PopResult};
 use super::{PipelineError, PipelineErrorKind, StreamStats};
 
-/// Items per batch (when the capacity allows) and items moved per node
-/// claim before the driver moves on — bounds both cancellation latency
-/// and per-stage monopolization.
-const BURST: usize = 32;
+/// Items per batch (when the capacity allows): one source pull, one
+/// hop and one sink hand-off each.
+const BURST: usize = 128;
+
+/// Items a node moves per claim before its driver moves on — bounds
+/// both cancellation latency and per-stage monopolization. A few
+/// batches, so a driver pays the round over the other nodes (a lock
+/// attempt each) once per few batches, not once per batch.
+const CLAIM: u64 = 4 * BURST as u64;
 
 /// The source's stage index.
 const SOURCE_STAGE: usize = 0;
-
-/// Every item carries the sequence number its source stamped; ordered
-/// farms restore this order, unordered farms ignore it.
-type Seq<V> = (u64, V);
 
 /// Cross-driver run state.
 pub(super) struct Shared {
@@ -230,14 +236,14 @@ impl Build {
         }
     }
 
-    fn new_edge<V: Send + 'static>(&mut self, producers: usize) -> Arc<Edge<Seq<V>>> {
+    fn new_edge<V: Send + 'static>(&mut self, producers: usize) -> Arc<Edge<V>> {
         let edge = Arc::new(Edge::new(self.capacity, producers));
         let drain = Arc::clone(&edge);
         self.teardown.push(Box::new(move || drain.drain()));
         edge
     }
 
-    fn outbox<V: Send>(&self, edge: &Arc<Edge<Seq<V>>>) -> Outbox<V> {
+    fn outbox<V: Send>(&self, edge: &Arc<Edge<V>>) -> Outbox<V> {
         Outbox::new(Arc::clone(edge), self.batch)
     }
 
@@ -281,7 +287,7 @@ fn downcast_link<V: 'static>(any: AnyEdge) -> Link<V> {
 /// Where a node takes its items from.
 enum Input<T> {
     /// Batches popped from the edge behind the previous node.
-    Edge(Arc<Edge<Seq<T>>>),
+    Edge(Arc<Edge<T>>),
     /// Batches pulled straight from the source iterator: a farm right
     /// behind the source has no edge and no source node in between.
     Source(SharedSource<T>),
@@ -291,7 +297,7 @@ impl<T: Send + 'static> Input<T> {
     /// An edge to pop from, putting a source node in front of a
     /// source-fed input: every node but a fused farm's replicas pops
     /// from an edge.
-    fn into_edge(self, build: &mut Build) -> Arc<Edge<Seq<T>>> {
+    fn into_edge(self, build: &mut Build) -> Arc<Edge<T>> {
         match self {
             Input::Edge(edge) => edge,
             Input::Source(core) => {
@@ -319,7 +325,7 @@ where
 {
     let core: SharedSource<I::Item> = Arc::new(Mutex::new(SourceCore {
         iter: Some(iter),
-        next_seq: 0,
+        pulled: 0,
         pulling: false,
     }));
     let (count, shared) = (Arc::clone(&core), Arc::clone(&build.shared));
@@ -339,7 +345,6 @@ where
 {
     let input = downcast_link::<T>(input).input.into_edge(build);
     let out = build.new_edge::<U>(1);
-    let f = StageFn::Exclusive(Box::new(f));
     let node = WorkNode::new(f, Input::Edge(input), build.outbox(&out), None);
     build.push_node(stage, Box::new(node));
     link(Input::Edge(out), None)
@@ -370,19 +375,15 @@ where
         input => Input::Edge(input.into_edge(build)),
     };
     let mid = build.new_edge::<U>(replicas);
-    let f: Arc<dyn Fn(T) -> U + Send + Sync> = Arc::new(f);
+    let f = Arc::new(f);
     let direct = (fuse && !ordered).then(DirectSink::default);
     for _ in 0..replicas {
         let input = match &input {
             Input::Edge(edge) => Input::Edge(Arc::clone(edge)),
             Input::Source(core) => Input::Source(Arc::clone(core)),
         };
-        let node = WorkNode::new(
-            StageFn::Shared(Arc::clone(&f)),
-            input,
-            build.outbox(&mid),
-            direct.clone(),
-        );
+        let f = Arc::clone(&f);
+        let node = WorkNode::new(move |v| f(v), input, build.outbox(&mid), direct.clone());
         build.push_node(stage, Box::new(node));
     }
     if !ordered {
@@ -411,9 +412,8 @@ where
     let core = Arc::new(Mutex::new(SinkCore {
         f: Box::new(f),
         stage,
-        pending: Vec::new().into_iter(),
-        in_hand: 0,
         consumed: 0,
+        until: 0,
     }));
     if let Some(direct) = direct {
         // Only this maker fills the slot, once.
@@ -436,8 +436,10 @@ where
 /// Output a node has produced but not yet pushed: one batch of at most
 /// `limit` items, pushed downstream whole.
 struct Outbox<V> {
-    edge: Arc<Edge<Seq<V>>>,
-    batch: Vec<Seq<V>>,
+    edge: Arc<Edge<V>>,
+    batch: Vec<V>,
+    /// The batch's sequence number.
+    seq: u64,
     limit: usize,
 }
 
@@ -450,16 +452,17 @@ enum Flush {
 }
 
 impl<V: Send> Outbox<V> {
-    fn new(edge: Arc<Edge<Seq<V>>>, limit: usize) -> Self {
+    fn new(edge: Arc<Edge<V>>, limit: usize) -> Self {
         Outbox {
             edge,
             batch: Vec::new(),
+            seq: 0,
             limit,
         }
     }
 
     /// The (empty) batch to fill, with room for `limit` items.
-    fn open(&mut self) -> &mut Vec<Seq<V>> {
+    fn open(&mut self) -> &mut Vec<V> {
         if self.batch.capacity() == 0 {
             self.batch.reserve_exact(self.limit);
         }
@@ -472,10 +475,14 @@ impl<V: Send> Outbox<V> {
             return Flush::Pushed(0);
         }
         let n = self.batch.len() as u64;
-        match self.edge.try_push(std::mem::take(&mut self.batch)) {
+        let batch = Batch {
+            seq: self.seq,
+            items: std::mem::take(&mut self.batch),
+        };
+        match self.edge.try_push(batch) {
             Ok(()) => Flush::Pushed(n),
             Err(batch) => {
-                self.batch = batch;
+                self.batch = batch.items;
                 shared.push_waits.fetch_add(1, Ordering::Relaxed);
                 Flush::Stalled
             }
@@ -489,13 +496,13 @@ impl<V: Send> Outbox<V> {
     }
 }
 
-/// The source iterator and its sequence counter, shared by whatever
-/// pulls from it: the replicas of a farm right behind it, or a
+/// The source iterator and its item count, shared by whatever pulls
+/// from it: the replicas of a farm right behind it, or a
 /// [`SourceNode`].
 struct SourceCore<I> {
     iter: Option<I>,
-    /// Sequence number of the next item, so also the items pulled.
-    next_seq: u64,
+    /// Items pulled so far, so also the sequence number of the next.
+    pulled: u64,
     /// Set while `next` runs; left set by a panic, which marks the
     /// core broken so the iterator is never called again.
     pulling: bool,
@@ -504,11 +511,12 @@ struct SourceCore<I> {
 /// A batch at a time from the source: one dynamic call per batch, the
 /// iterator itself called directly.
 trait Pull<T>: Send {
-    /// Append items to `batch` until it holds `limit` or the iterator
-    /// runs dry. `next` may panic (chaos: faulty source); the items
-    /// pulled before it are in `batch` and counted, so teardown drops
-    /// and counts them.
-    fn pull(&mut self, batch: &mut Vec<Seq<T>>, limit: usize);
+    /// Fill the empty `batch` until it holds `limit` items or the
+    /// iterator runs dry, and return the sequence number of its first
+    /// item. `next` may panic (chaos: faulty source); the items pulled
+    /// before it are in `batch` and counted, so teardown drops and
+    /// counts them.
+    fn pull(&mut self, batch: &mut Vec<T>, limit: usize) -> u64;
     fn exhausted(&self) -> bool;
     /// A pull panicked: the iterator must not be called again.
     fn broken(&self) -> bool;
@@ -520,17 +528,19 @@ impl<I> Pull<I::Item> for SourceCore<I>
 where
     I: Iterator + Send,
 {
-    fn pull(&mut self, batch: &mut Vec<Seq<I::Item>>, limit: usize) {
+    fn pull(&mut self, batch: &mut Vec<I::Item>, limit: usize) -> u64 {
+        debug_assert!(batch.is_empty());
+        let seq = self.pulled;
         let Some(iter) = self.iter.as_mut() else {
-            return;
+            return seq;
         };
         self.pulling = true;
         let mut dry = false;
         while batch.len() < limit {
             match iter.next() {
                 Some(v) => {
-                    batch.push((self.next_seq, v));
-                    self.next_seq += 1;
+                    batch.push(v);
+                    self.pulled += 1;
                 }
                 None => {
                     dry = true;
@@ -542,6 +552,7 @@ where
         if dry {
             self.iter = None;
         }
+        seq
     }
 
     fn exhausted(&self) -> bool {
@@ -553,7 +564,7 @@ where
     }
 
     fn pulled(&self) -> u64 {
-        self.next_seq
+        self.pulled
     }
 }
 
@@ -578,14 +589,14 @@ impl<T: Send + 'static> Node for SourceNode<T> {
                 Flush::Pushed(n) => out.moved(n),
                 Flush::Stalled => return out,
             }
-            if out.items >= BURST as u64 || core.broken() {
+            if out.items >= CLAIM || core.broken() {
                 return out;
             }
             if core.exhausted() {
                 break;
             }
             let limit = self.out.limit;
-            core.pull(self.out.open(), limit);
+            self.out.seq = core.pull(self.out.open(), limit);
         }
         self.finished = true;
         self.out.edge.producer_done();
@@ -599,70 +610,36 @@ impl<T: Send + 'static> Node for SourceNode<T> {
     }
 }
 
-/// A plain stage's exclusive closure or a farm replica's shared one.
-enum StageFn<T, U> {
-    Exclusive(Box<dyn FnMut(T) -> U + Send>),
-    Shared(Arc<dyn Fn(T) -> U + Send + Sync>),
-}
-
-impl<T, U> StageFn<T, U> {
-    fn call(&mut self, v: T) -> U {
-        match self {
-            StageFn::Exclusive(f) => f(v),
-            StageFn::Shared(f) => f(v),
-        }
-    }
-}
-
-/// A popped batch being mapped one item at a time.
-struct Mapper<T, U> {
-    f: StageFn<T, U>,
-    /// The batch's items not yet mapped.
-    pending: VecDeque<Seq<T>>,
-    /// 1 while the closure holds an item — so a panic mid-item still
-    /// balances the drop accounting (`drain` counts it).
-    in_hand: u64,
-}
-
-impl<T, U> Mapper<T, U> {
-    fn next(&mut self) -> Option<Seq<U>> {
-        let (seq, v) = self.pending.pop_front()?;
-        self.in_hand = 1;
-        let u = self.f.call(v); // may panic: in_hand covers v
-        self.in_hand = 0;
-        Some((seq, u))
-    }
-}
-
 /// A plain stage or one farm replica: takes a batch, maps it in order
-/// into one output batch, pushes that. An unordered farm replica that
-/// can claim the sink maps straight into it instead.
-struct WorkNode<T, U> {
-    map: Mapper<T, U>,
+/// into one output batch, and pushes that — or, as a replica of a fused
+/// unordered farm that can claim the sink, hands it to the sink.
+///
+/// `F` is the stage's own closure (a farm replica's calls the shared
+/// one), so the per-item call in [`map`](Self::map) is static.
+struct WorkNode<T, U, F> {
+    f: F,
     input: Input<T>,
     /// Items pulled from the source for the next batch (here, not in a
-    /// local, so a panicking pull still leaves them counted).
-    pulled: Vec<Seq<T>>,
+    /// local, so a panicking pull still leaves them counted); the
+    /// buffer is reused from pull to pull.
+    held: Vec<T>,
+    /// The length of the batch being mapped while `f` runs, 0 at rest.
+    /// A panicking map leaves it set, so teardown counts that whole
+    /// batch as dropped: its mapped part (in `out`), the item in hand
+    /// and the unmapped rest (dropped by the unwind).
+    mapping: u64,
     out: Outbox<U>,
     direct: Option<DirectSink<U>>,
     finished: bool,
 }
 
-impl<T: Send, U: Send> WorkNode<T, U> {
-    fn new(
-        f: StageFn<T, U>,
-        input: Input<T>,
-        out: Outbox<U>,
-        direct: Option<DirectSink<U>>,
-    ) -> Self {
+impl<T: Send, U: Send, F: FnMut(T) -> U + Send> WorkNode<T, U, F> {
+    fn new(f: F, input: Input<T>, out: Outbox<U>, direct: Option<DirectSink<U>>) -> Self {
         WorkNode {
-            map: Mapper {
-                f,
-                pending: VecDeque::new(),
-                in_hand: 0,
-            },
+            f,
             input,
-            pulled: Vec::new(),
+            held: Vec::new(),
+            mapping: 0,
             out,
             direct,
             finished: false,
@@ -671,7 +648,7 @@ impl<T: Send, U: Send> WorkNode<T, U> {
 
     /// The next input batch: popped from the edge, or pulled from the
     /// source if no other replica is pulling right now.
-    fn take(&mut self, shared: &Shared) -> PopResult<Seq<T>> {
+    fn take(&mut self, shared: &Shared) -> PopResult<T> {
         let core = match &self.input {
             Input::Edge(edge) => return edge.pop_or_eos(),
             Input::Source(core) => core,
@@ -686,61 +663,146 @@ impl<T: Send, U: Send> WorkNode<T, U> {
             return PopResult::EndOfStream;
         }
         let limit = self.out.limit;
-        if self.pulled.capacity() == 0 {
-            self.pulled.reserve_exact(limit);
+        if self.held.capacity() == 0 {
+            self.held.reserve_exact(limit);
         }
-        if let Err(payload) = runtime::contain(|| core.pull(&mut self.pulled, limit)) {
-            shared.poison_panic(SOURCE_STAGE, payload);
-            return PopResult::Empty;
-        }
-        if self.pulled.is_empty() {
-            PopResult::EndOfStream
-        } else {
-            PopResult::Batch(std::mem::take(&mut self.pulled))
-        }
-    }
-
-    /// Keep a fully mapped pulled batch's buffer for the next pull.
-    fn recycle(&mut self) {
-        if matches!(self.input, Input::Source(_)) && self.map.pending.is_empty() {
-            self.pulled = Vec::from(std::mem::take(&mut self.map.pending));
+        match runtime::contain(|| core.pull(&mut self.held, limit)) {
+            Err(payload) => {
+                shared.poison_panic(SOURCE_STAGE, payload);
+                PopResult::Empty
+            }
+            Ok(_) if self.held.is_empty() => PopResult::EndOfStream,
+            Ok(seq) => PopResult::Batch(Batch {
+                seq,
+                items: std::mem::take(&mut self.held),
+            }),
         }
     }
 
-    /// If the sink can be claimed: consume what is queued on the output
-    /// edge first, then map the pending batch item by item straight into
-    /// the sink. Returns the sink's stage and the items it consumed. A
-    /// panic in the sink poisons the run with the sink's stage; one in
-    /// the map unwinds to the driver as before.
-    fn deliver(&mut self, shared: &Shared) -> Option<(usize, u64)> {
+    /// Map `items` in order into the output batch, which takes their
+    /// sequence number, and keep the emptied buffer for the next pull.
+    /// Batches never exceed the capacity every edge shares, so one input
+    /// batch fills at most one output batch.
+    fn map(&mut self, Batch { seq, mut items }: Batch<T>) {
+        self.mapping = items.len() as u64;
+        self.out.seq = seq;
+        let mapped = self.out.open();
+        for v in items.drain(..) {
+            mapped.push((self.f)(v)); // may panic: `mapping` covers the batch
+        }
+        self.mapping = 0;
+        self.held = items;
+    }
+
+    /// Map `batch` straight into the sink if this replica feeds it (a
+    /// fused unordered farm right before the sink) and can claim it now,
+    /// and hand the batch back otherwise. After each item of its own the
+    /// sink also takes one item queued on the edge (mapped by another
+    /// replica while the sink was busy), so the sink's closure runs
+    /// beside a map rather than back to back; what it popped and has
+    /// not taken yet follows at the end. Returns the sink's stage and
+    /// the items it consumed.
+    ///
+    /// A panic in the sink poisons the run with the sink's stage; one in
+    /// the map unwinds to the driver, which blames this stage. Either
+    /// way the sink core counts what it was handed and did not consume
+    /// as dropped.
+    fn deliver(&mut self, shared: &Shared, batch: Batch<T>) -> Result<(usize, u64), Batch<T>> {
+        let Some(mut sink) = self.direct.as_ref().and_then(|d| d.get()?.try_lock()) else {
+            return Err(batch);
+        };
+        if sink.broken() {
+            return Err(batch);
+        }
+        let before = sink.consumed;
+        let mut items = batch.items;
+        sink.until += items.len() as u64;
+        let mut queue = Queue {
+            edge: &self.out.edge,
+            items: Vec::new().into_iter(),
+            budget: CLAIM,
+        };
+        // `fed` turns false when the sink panics: stop feeding it.
+        let mut fed = true;
+        for v in items.drain(..) {
+            let u = (self.f)(v); // may panic: the sink core counts the rest
+            fed =
+                sink.feed(u, shared) && queue.next(&mut sink).is_none_or(|q| sink.feed(q, shared));
+            if !fed {
+                break;
+            }
+        }
+        while fed {
+            let Some(q) = queue.next(&mut sink) else {
+                break;
+            };
+            fed = sink.feed(q, shared);
+        }
+        self.held = items;
+        Ok((sink.stage, sink.consumed - before))
+    }
+
+    /// Hand the mapped batch in `out` to the sink if this replica feeds
+    /// it and can claim it now, after whatever is queued on the edge.
+    /// Returns the sink's stage and the items it consumed. A panic in
+    /// the sink poisons the run with the sink's stage.
+    fn deliver_mapped(&mut self, shared: &Shared) -> Option<(usize, u64)> {
         let mut sink = self.direct.as_ref()?.get()?.try_lock()?;
         if sink.broken() {
             return None;
         }
-        let (map, queue) = (&mut self.map, &self.out.edge);
+        let (queue, batch) = (&self.out.edge, &mut self.out.batch);
         let before = sink.consumed;
         let run = runtime::contain(|| {
             while let PopResult::Batch(queued) = queue.pop_or_eos() {
-                sink.consume_batch(queued);
+                sink.consume(queued.items);
             }
-            while let Some((_seq, u)) = map.next() {
-                sink.consume(u);
-            }
+            sink.consume(std::mem::take(batch));
         });
         if let Err(payload) = run {
-            if !sink.broken() {
-                std::panic::resume_unwind(payload);
-            }
             shared.poison_panic(sink.stage, payload);
         }
         Some((sink.stage, sink.consumed - before))
     }
 }
 
-impl<T, U> Node for WorkNode<T, U>
+/// The items queued on a fused farm's edge, as [`WorkNode::deliver`]
+/// feeds them to the sink it holds: a popped batch at a time.
+struct Queue<'a, U> {
+    edge: &'a Edge<U>,
+    /// The popped batch's items not yet fed.
+    items: std::vec::IntoIter<U>,
+    /// Items it may still pop in this delivery: at most [`CLAIM`], so
+    /// replicas that keep mapping cannot hold the deliverer for ever,
+    /// and none once the edge was found empty (it is looked at again
+    /// on the next delivery, not after every item).
+    budget: u64,
+}
+
+impl<U: Send> Queue<'_, U> {
+    /// The next queued item, popping a batch when the last one is used
+    /// up; `sink` counts each popped batch as handed to it.
+    fn next(&mut self, sink: &mut SinkCore<U>) -> Option<U> {
+        if self.items.len() == 0 && self.budget > 0 {
+            match self.edge.pop_or_eos() {
+                PopResult::Batch(batch) => {
+                    let n = batch.items.len() as u64;
+                    self.budget = self.budget.saturating_sub(n);
+                    sink.until += n;
+                    self.items = batch.items.into_iter();
+                }
+                _ => self.budget = 0,
+            }
+        }
+        self.items.next()
+    }
+}
+
+impl<T, U, F> Node for WorkNode<T, U, F>
 where
     T: Send + 'static,
     U: Send + 'static,
+    F: FnMut(T) -> U + Send + 'static,
 {
     fn step(&mut self, shared: &Shared) -> StepOut {
         if self.finished {
@@ -748,20 +810,41 @@ where
         }
         let mut out = StepOut::idle();
         loop {
-            match self.out.flush(shared) {
-                Flush::Pushed(n) => out.moved(n),
-                Flush::Stalled => return out,
+            // Hand on a batch the edge had no room for: to the sink if this
+            // replica can claim it now, else downstream.
+            if !self.out.batch.is_empty() {
+                if let Some((stage, consumed)) = self.deliver_mapped(shared) {
+                    out.delivered = (stage, out.delivered.1 + consumed);
+                    out.progress = true;
+                    if shared.poisoned.load(Ordering::Acquire) {
+                        return out;
+                    }
+                } else {
+                    match self.out.flush(shared) {
+                        Flush::Pushed(_) => out.progress = true,
+                        Flush::Stalled => return out,
+                    }
+                }
             }
-            if out.items >= BURST as u64 {
+            if out.items >= CLAIM {
                 return out;
             }
             match self.take(shared) {
                 PopResult::Batch(batch) => {
-                    out.progress = true;
+                    let n = batch.items.len() as u64;
                     if matches!(self.input, Input::Source(_)) {
-                        out.pulled += batch.len() as u64;
+                        out.pulled += n;
                     }
-                    self.map.pending = VecDeque::from(batch);
+                    out.moved(n);
+                    match self.deliver(shared, batch) {
+                        Ok((stage, consumed)) => {
+                            out.delivered = (stage, out.delivered.1 + consumed);
+                            if shared.poisoned.load(Ordering::Acquire) {
+                                return out;
+                            }
+                        }
+                        Err(batch) => self.map(batch),
+                    }
                 }
                 PopResult::EndOfStream => {
                     self.finished = true;
@@ -772,42 +855,32 @@ where
                 }
                 PopResult::Empty => return out,
             }
-            let n = self.map.pending.len() as u64;
-            if let Some(delivered) = self.deliver(shared) {
-                out.delivered = delivered;
-                out.moved(n);
-                self.recycle();
-                return out;
-            }
-            // Batches never exceed the capacity every edge shares, so
-            // one input batch fills at most one output batch.
-            let mapped = self.out.open();
-            while let Some(item) = self.map.next() {
-                mapped.push(item);
-            }
-            self.recycle();
         }
     }
 
     fn drain(&mut self, _shared: &Shared) -> u64 {
-        let unmapped = self.map.pending.len() as u64;
-        self.map.pending.clear();
-        let pulled = self.pulled.len() as u64;
-        self.pulled.clear();
-        unmapped + pulled + self.map.in_hand + self.out.drain()
+        let pulled = self.held.len() as u64;
+        self.held.clear();
+        let unpushed = self.out.drain();
+        // A panicking map's batch is partly in `out`: count it once.
+        let in_map = if self.mapping > 0 {
+            self.mapping
+        } else {
+            unpushed
+        };
+        pulled + in_map
     }
 }
 
 /// The implicit node behind an ordered farm: buffers out-of-order
-/// batches by source sequence number and releases them in order. Every
-/// batch is a run of consecutive sequence numbers (the source stamps a
-/// batch in order and every node maps a batch 1:1, in order), so whole
+/// batches by sequence number and releases them in order. Every batch
+/// is a run of consecutive sequence numbers (see [`Batch`]), so whole
 /// batches are buffered and released.
 struct ReorderNode<V> {
-    input: Arc<Edge<Seq<V>>>,
+    input: Arc<Edge<V>>,
     out: Outbox<V>,
-    /// Early batches keyed by their first sequence number.
-    buf: BTreeMap<u64, Vec<Seq<V>>>,
+    /// Early batches keyed by their sequence number.
+    buf: BTreeMap<u64, Vec<V>>,
     next_seq: u64,
     /// Input closed: emit whatever is buffered (skipping gaps, which
     /// only a poisoned run can produce) instead of waiting forever.
@@ -816,11 +889,12 @@ struct ReorderNode<V> {
 }
 
 impl<V: Send + 'static> ReorderNode<V> {
-    /// Queue `batch` (a run starting at `next_seq` or, when flushing,
-    /// past a gap) for release.
-    fn release(&mut self, batch: Vec<Seq<V>>) {
-        self.next_seq = batch.last().map_or(self.next_seq, |(seq, _)| seq + 1);
-        self.out.batch = batch;
+    /// Queue the batch `seq` (the run starting at `next_seq` or, when
+    /// flushing, past a gap) for release.
+    fn release(&mut self, seq: u64, items: Vec<V>) {
+        self.next_seq = seq + items.len() as u64;
+        self.out.seq = seq;
+        self.out.batch = items;
     }
 }
 
@@ -835,18 +909,18 @@ impl<V: Send + 'static> Node for ReorderNode<V> {
                 Flush::Pushed(n) => out.moved(n),
                 Flush::Stalled => return out,
             }
-            if out.items >= BURST as u64 {
+            if out.items >= CLAIM {
                 return out;
             }
-            if let Some(batch) = self.buf.remove(&self.next_seq) {
-                self.release(batch);
+            if let Some(items) = self.buf.remove(&self.next_seq) {
+                self.release(self.next_seq, items);
                 continue;
             }
             if self.flushing {
                 // Gaps cannot fill any more: jump to the next buffered
                 // run, or finish when the buffer is dry.
-                if let Some((_, batch)) = self.buf.pop_first() {
-                    self.release(batch);
+                if let Some((seq, items)) = self.buf.pop_first() {
+                    self.release(seq, items);
                     continue;
                 }
                 self.finished = true;
@@ -856,13 +930,12 @@ impl<V: Send + 'static> Node for ReorderNode<V> {
                 return out;
             }
             match self.input.pop_or_eos() {
-                PopResult::Batch(batch) => {
+                PopResult::Batch(Batch { seq, items }) => {
                     out.progress = true;
-                    let first = batch[0].0;
-                    if first == self.next_seq {
-                        self.release(batch);
+                    if seq == self.next_seq {
+                        self.release(seq, items);
                     } else {
-                        self.buf.insert(first, batch);
+                        self.buf.insert(seq, items);
                     }
                 }
                 PopResult::EndOfStream => {
@@ -888,37 +961,51 @@ impl<V: Send + 'static> Node for ReorderNode<V> {
 struct SinkCore<T> {
     f: Box<dyn FnMut(T) + Send>,
     stage: usize,
-    /// The popped batch's items not yet consumed.
-    pending: std::vec::IntoIter<Seq<T>>,
-    /// 1 while the closure holds an item; left at 1 by a panic, which
-    /// marks the core broken so the closure is never called again.
-    in_hand: u64,
+    /// Items the closure took and returned from.
     consumed: u64,
+    /// What `consumed` reaches once the closure has taken every item
+    /// handed to the core: a popped batch, or a replica's own batch and
+    /// the queued items it popped. A panic (in the closure, or in the
+    /// map of a replica feeding it) leaves it ahead, which marks the
+    /// core broken so the closure is never called again, and teardown
+    /// counts the difference, the item in hand included, as dropped.
+    until: u64,
 }
 
 impl<T> SinkCore<T> {
     fn broken(&self) -> bool {
-        self.in_hand != 0
+        self.until != self.consumed
     }
 
-    fn consume(&mut self, v: T) {
-        self.in_hand = 1;
-        (self.f)(v); // may panic: in_hand covers v
-        self.in_hand = 0;
-        self.consumed += 1;
+    /// Feed a popped batch to the closure. A panic drops the rest of
+    /// the batch and unwinds to the driver; `until` counts it.
+    fn consume(&mut self, items: Vec<T>) {
+        self.until = self.consumed + items.len() as u64;
+        for v in items {
+            (self.f)(v);
+            self.consumed += 1;
+        }
     }
 
-    fn consume_batch(&mut self, batch: Vec<Seq<T>>) {
-        self.pending = batch.into_iter();
-        while let Some((_seq, v)) = self.pending.next() {
-            self.consume(v);
+    /// Feed one item that `until` already counts to the closure. A
+    /// panic poisons the run with the sink's stage and returns false.
+    fn feed(&mut self, item: T, shared: &Shared) -> bool {
+        match runtime::contain(|| (self.f)(item)) {
+            Ok(()) => {
+                self.consumed += 1;
+                true
+            }
+            Err(payload) => {
+                shared.poison_panic(self.stage, payload);
+                false
+            }
         }
     }
 }
 
 struct SinkNode<T> {
     core: Arc<Mutex<SinkCore<T>>>,
-    input: Arc<Edge<Seq<T>>>,
+    input: Arc<Edge<T>>,
     finished: bool,
 }
 
@@ -935,11 +1022,11 @@ impl<T: Send + 'static> Node for SinkNode<T> {
             return StepOut::idle();
         }
         let mut out = StepOut::idle();
-        while out.items < BURST as u64 {
+        while out.items < CLAIM {
             match self.input.pop_or_eos() {
                 PopResult::Batch(batch) => {
-                    out.moved(batch.len() as u64);
-                    core.consume_batch(batch);
+                    out.moved(batch.items.len() as u64);
+                    core.consume(batch.items);
                 }
                 PopResult::EndOfStream => {
                     self.finished = true;
@@ -954,11 +1041,9 @@ impl<T: Send + 'static> Node for SinkNode<T> {
     }
 
     fn drain(&mut self, shared: &Shared) -> u64 {
-        let mut core = self.core.lock();
+        let core = self.core.lock();
         shared.consumed.store(core.consumed, Ordering::Relaxed);
-        let unconsumed = core.pending.len() as u64;
-        core.pending = Vec::new().into_iter();
-        unconsumed + core.in_hand
+        core.until - core.consumed
     }
 }
 

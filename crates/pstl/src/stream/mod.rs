@@ -35,7 +35,7 @@
 //!   order).
 //! * **Backpressure** — every edge is bounded at exactly
 //!   [`capacity`](PipelineBuilder::capacity) items. Items cross an
-//!   edge in batches of up to `min(capacity, 32)` on a [`RingChannel`],
+//!   edge in batches of up to `min(capacity, 128)` on a [`RingChannel`],
 //!   so a hop is paid once per batch; see [`channel`] for how the
 //!   item bound stays exact. A batch that does not fit stalls the
 //!   producing stage cooperatively and counts one `stage_push_waits`
@@ -44,7 +44,7 @@
 //!   whole batches.
 //! * **Cancellation** — attach a [`CancelToken`]
 //!   ([`with_cancel`](PipelineBuilder::with_cancel)); once it trips
-//!   (manually or by deadline), drivers stop within one bounded burst,
+//!   (manually or by deadline), drivers stop within one bounded claim,
 //!   in-flight items are dropped *exactly once* (counted in
 //!   `items_dropped` and [`StreamStats::dropped`]), and
 //!   [`run`](SinkedPipeline::run) reports
@@ -70,7 +70,7 @@ use pstl_executor::{CancelToken, Executor};
 pub use channel::RingChannel;
 
 /// Default bound of every inter-stage channel.
-pub const DEFAULT_CAPACITY: usize = 64;
+pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Flow accounting for one pipeline run, returned on success and
 /// attached to every [`PipelineError`].

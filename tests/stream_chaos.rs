@@ -10,7 +10,7 @@
 //! - the pool is immediately reusable for clean work afterwards.
 
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pstl::stream::{Pipeline, PipelineErrorKind, StreamStats};
@@ -254,5 +254,147 @@ fn pools_interleave_chaotic_and_clean_streams_without_residue() {
             let want: Vec<u64> = (0..2_000).map(|x| x * 2).collect();
             assert_eq!(got, want, "{d:?} round {round}: clean run after chaos");
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The `jobs` shape: `source → farm(2) → sink` on a 2-thread pool, where
+// the farm is fused with its neighbors (fewer threads than nodes): its
+// replicas pull from the source and map straight into the sink.
+// ---------------------------------------------------------------------
+
+/// Items per source claim at the default capacity (the engine's batch
+/// size): the boundaries below sit on either side of one claim.
+const CLAIM: u64 = 128;
+
+/// Items in the chaos runs of the fused farm; the last is `ITEMS - 1`.
+const ITEMS: u64 = 1_000;
+
+/// Where [`run_fused`] panics.
+#[derive(Debug, Clone, Copy)]
+enum Trip {
+    Map,
+    Sink,
+}
+
+/// `source → farm(2) → sink` over `ITEMS` counted elements on `pool`,
+/// panicking in the map or in the sink on item `k`.
+fn run_fused(
+    trip: Trip,
+    k: u64,
+    pool: &dyn pstl_executor::Executor,
+    live: &Live,
+) -> pstl::stream::PipelineError {
+    Pipeline::source((0..ITEMS).map(live.elem()))
+        .farm(2, move |e: Elem| {
+            if matches!(trip, Trip::Map) && e.0 == k {
+                panic!("map boom at {k}");
+            }
+            e
+        })
+        .sink(move |e: Elem| {
+            if matches!(trip, Trip::Sink) && e.0 == k {
+                panic!("sink boom at {k}");
+            }
+        })
+        .run(pool)
+        .unwrap_err()
+}
+
+#[test]
+fn fused_farm_panics_at_claim_boundaries_blame_their_stage_and_balance() {
+    let live = Live::default();
+    for d in Discipline::POOLS {
+        let pool = build_pool(d, 2);
+        for trip in [Trip::Map, Trip::Sink] {
+            for k in [CLAIM - 1, CLAIM, CLAIM + 1, ITEMS - 1] {
+                let label = format!("{d:?}/{trip:?}/item {k}");
+                let before = live.count();
+                let err = run_fused(trip, k, &*pool, &live);
+                let want = match trip {
+                    Trip::Map => (1, "map boom"),
+                    Trip::Sink => (2, "sink boom"),
+                };
+                match &err.kind {
+                    PipelineErrorKind::StagePanicked { stage, message } => {
+                        assert_eq!(*stage, want.0, "{label}: blamed stage");
+                        assert!(message.contains(want.1), "{label}: {message}");
+                    }
+                    other => panic!("{label}: expected StagePanicked, got {other:?}"),
+                }
+                assert_balanced(&label, &err.stats, &live, before);
+            }
+        }
+        assert_reusable(&format!("{d:?}"), &pool);
+    }
+}
+
+#[test]
+fn fused_farm_manual_cancel_after_k_items_balances() {
+    let live = Live::default();
+    for d in Discipline::POOLS {
+        let pool = build_pool(d, 2);
+        for k in [0, CLAIM - 1, CLAIM, CLAIM + 1, ITEMS] {
+            let label = format!("{d:?}/cancel after {k}");
+            let before = live.count();
+            let token = CancelToken::new();
+            let observer = token.clone();
+            let err = Pipeline::source((0u64..).map(live.elem()))
+                .with_cancel(token)
+                .farm(2, move |e: Elem| {
+                    if e.0 == k {
+                        observer.cancel();
+                    }
+                    e
+                })
+                .sink(drop)
+                .run(&*pool)
+                .unwrap_err();
+            assert_eq!(err.kind, PipelineErrorKind::Cancelled, "{label}");
+            assert_balanced(&label, &err.stats, &live, before);
+            // Each of the two drivers finishes at most the claim it is in.
+            assert!(
+                err.stats.produced <= k + 16 * CLAIM,
+                "{label}: teardown not prompt, produced {}",
+                err.stats.produced
+            );
+        }
+        assert_reusable(&format!("{d:?}"), &pool);
+    }
+}
+
+#[test]
+fn fused_farm_runs_sources_around_one_claim_to_completion() {
+    let live = Live::default();
+    for d in Discipline::POOLS {
+        let pool = build_pool(d, 2);
+        for n in [0, 1, CLAIM - 1, CLAIM + 1, ITEMS] {
+            let label = format!("{d:?}/{n} items");
+            let before = live.count();
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let sink_got = Arc::clone(&got);
+            let stats = Pipeline::source((0..n).map(live.elem()))
+                .farm(2, |mut e: Elem| {
+                    e.0 *= 3;
+                    e
+                })
+                .sink(move |e: Elem| sink_got.lock().unwrap().push(e.0))
+                .run(&*pool)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(
+                (stats.produced, stats.consumed, stats.dropped),
+                (n, n, 0),
+                "{label}"
+            );
+            let mut got = std::mem::take(&mut *got.lock().unwrap());
+            got.sort_unstable();
+            assert_eq!(
+                got,
+                (0..n).map(|x| x * 3).collect::<Vec<_>>(),
+                "{label}: items"
+            );
+            assert_balanced(&label, &stats, &live, before);
+        }
+        assert_reusable(&format!("{d:?}"), &pool);
     }
 }
