@@ -44,7 +44,7 @@ pub use fault::{FaultPlan, StealDelay};
 pub use fork_join::ForkJoinPool;
 pub use futures::{future_promise, BrokenPromise, Future, Promise};
 pub use latch::CountLatch;
-pub use metrics::{HistKind, HistSet, MetricsSink, MetricsSnapshot, PoolMetrics};
+pub use metrics::{HistKind, HistSet, MetricsSink, MetricsSnapshot};
 pub use runtime::{Runtime, RuntimeCore, WorkerCtx, WorkerStrategy};
 pub use seq::SequentialExecutor;
 pub use service::{

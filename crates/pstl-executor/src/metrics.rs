@@ -5,44 +5,19 @@
 //! the real pools: how many tasks were created, how often work was
 //! stolen, how often workers went to sleep.
 //!
-//! Pools do not hold [`PoolMetrics`] directly any more: they embed one
-//! [`MetricsSink`], which bundles the counters with a set of streaming
-//! [`Histogram`]s ([`HistKind`]) recording task durations, steal
-//! latencies, and claim sizes. Adding a new distribution metric means
-//! adding a `HistKind` variant and a hook *here* — the four pool files
-//! only ever talk to the sink.
+//! Every pool embeds one [`MetricsSink`] (through its `RuntimeCore`): the
+//! relaxed atomic counters behind [`MetricsSnapshot`] plus a set of
+//! streaming [`Histogram`]s ([`HistKind`]) recording task durations,
+//! steal latencies, claim sizes and service queue waits. Adding a new
+//! metric means adding a field or a `HistKind` variant and a hook *here*
+//! — the pool files only ever talk to the sink. Job-level facts
+//! (admissions, refusals, sheds, retries) live in the service's own
+//! ledger, `ServiceStatsSnapshot`, and nowhere else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pstl_trace::hist::{HistSnapshot, Histogram};
-
-/// Internal atomic counters, embedded in each pool.
-#[derive(Debug, Default)]
-pub struct PoolMetrics {
-    runs: AtomicU64,
-    tasks_executed: AtomicU64,
-    steals: AtomicU64,
-    local_steals: AtomicU64,
-    remote_steals: AtomicU64,
-    steal_attempts: AtomicU64,
-    parks: AtomicU64,
-    parked_wakeups: AtomicU64,
-    splits: AtomicU64,
-    cancel_checks: AtomicU64,
-    cancelled_tasks: AtomicU64,
-    spawn_failures: AtomicU64,
-    early_exits: AtomicU64,
-    wasted_chunks: AtomicU64,
-    jobs_admitted: AtomicU64,
-    jobs_rejected: AtomicU64,
-    jobs_shed: AtomicU64,
-    jobs_retried: AtomicU64,
-    jobs_deadline_expired: AtomicU64,
-    jobs_caller_run: AtomicU64,
-    stage_push_waits: AtomicU64,
-    items_dropped: AtomicU64,
-}
 
 /// A point-in-time copy of a pool's counters.
 ///
@@ -93,26 +68,6 @@ pub struct MetricsSnapshot {
     /// Chunks/claims a search region dispatched but skipped or aborted
     /// because they lay past an already-published match.
     pub wasted_chunks: u64,
-    /// Jobs accepted past admission control by the service layer.
-    pub jobs_admitted: u64,
-    /// Jobs refused at admission (queue full, tenant quota, shedding
-    /// mode, or an injected admission fault). Rejected jobs were never
-    /// admitted, so they do not appear in any other job counter.
-    pub jobs_rejected: u64,
-    /// Admitted jobs dropped before execution: overload shedding or a
-    /// deadline that expired while the job sat in queue.
-    pub jobs_shed: u64,
-    /// Re-queues after a transient execution failure (one per attempt
-    /// beyond the first, bounded by the service retry policy).
-    pub jobs_retried: u64,
-    /// Subset of `jobs_shed` whose deadline expired in queue — distinct
-    /// from `cancelled_tasks`, which counts work cancelled *during*
-    /// execution.
-    pub jobs_deadline_expired: u64,
-    /// Job executions the service ran on a client thread blocked in
-    /// `JobHandle::wait` (caller-runs) instead of on a worker. A count
-    /// of where bodies ran, outside the job conservation law.
-    pub jobs_caller_run: u64,
     /// Times a streaming stage failed to push a batch into an
     /// inter-stage edge without room for all of it and had to stall the
     /// batch (backpressure events; one per failed batch push, not per
@@ -154,146 +109,8 @@ impl MetricsSnapshot {
             spawn_failures: self.spawn_failures - earlier.spawn_failures,
             early_exits: self.early_exits - earlier.early_exits,
             wasted_chunks: self.wasted_chunks - earlier.wasted_chunks,
-            jobs_admitted: self.jobs_admitted - earlier.jobs_admitted,
-            jobs_rejected: self.jobs_rejected - earlier.jobs_rejected,
-            jobs_shed: self.jobs_shed - earlier.jobs_shed,
-            jobs_retried: self.jobs_retried - earlier.jobs_retried,
-            jobs_deadline_expired: self.jobs_deadline_expired - earlier.jobs_deadline_expired,
-            jobs_caller_run: self.jobs_caller_run - earlier.jobs_caller_run,
             stage_push_waits: self.stage_push_waits - earlier.stage_push_waits,
             items_dropped: self.items_dropped - earlier.items_dropped,
-        }
-    }
-}
-
-impl PoolMetrics {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a dispatched parallel region.
-    pub fn record_run(&self) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` executed task fragments.
-    pub fn record_tasks(&self, n: u64) {
-        self.tasks_executed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record a successful steal, classified by victim locality:
-    /// `local` means the victim shared the thief's NUMA node.
-    pub fn record_steal(&self, local: bool) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-        if local {
-            self.local_steals.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.remote_steals.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a steal attempt (successful or not).
-    pub fn record_steal_attempt(&self) {
-        self.steal_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a worker parking.
-    pub fn record_park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a parked worker waking back up.
-    pub fn record_parked_wakeup(&self) {
-        self.parked_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a range split (demand-driven work handoff).
-    pub fn record_split(&self) {
-        self.splits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `checks` cancellation polls, of which `cancelled` found
-    /// the token tripped and skipped/aborted their work.
-    pub fn record_cancel(&self, checks: u64, cancelled: u64) {
-        self.cancel_checks.fetch_add(checks, Ordering::Relaxed);
-        self.cancelled_tasks.fetch_add(cancelled, Ordering::Relaxed);
-    }
-
-    /// Record `n` worker-spawn failures the pool degraded around.
-    pub fn record_spawn_failures(&self, n: u64) {
-        self.spawn_failures.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `early_exits` search regions that returned before draining
-    /// their range, skipping or aborting `wasted` dispatched chunks.
-    pub fn record_search(&self, early_exits: u64, wasted: u64) {
-        self.early_exits.fetch_add(early_exits, Ordering::Relaxed);
-        self.wasted_chunks.fetch_add(wasted, Ordering::Relaxed);
-    }
-
-    /// Record a job accepted past admission control.
-    pub fn record_job_admitted(&self) {
-        self.jobs_admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a job refused at admission.
-    pub fn record_job_rejected(&self) {
-        self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an admitted job dropped before execution;
-    /// `deadline_expired` marks the expired-in-queue subset.
-    pub fn record_job_shed(&self, deadline_expired: bool) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
-        if deadline_expired {
-            self.jobs_deadline_expired.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a retry re-queue after a transient failure.
-    pub fn record_job_retried(&self) {
-        self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` job executions run by a waiting caller.
-    pub fn record_jobs_caller_run(&self, n: u64) {
-        self.jobs_caller_run.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `push_waits` backpressure stalls and `dropped` in-flight
-    /// items discarded by a streaming pipeline region.
-    pub fn record_stream(&self, push_waits: u64, dropped: u64) {
-        self.stage_push_waits
-            .fetch_add(push_waits, Ordering::Relaxed);
-        self.items_dropped.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    /// Copy the current values.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            runs: self.runs.load(Ordering::Relaxed),
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            local_steals: self.local_steals.load(Ordering::Relaxed),
-            remote_steals: self.remote_steals.load(Ordering::Relaxed),
-            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            parked_wakeups: self.parked_wakeups.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
-            cancel_checks: self.cancel_checks.load(Ordering::Relaxed),
-            cancelled_tasks: self.cancelled_tasks.load(Ordering::Relaxed),
-            spawn_failures: self.spawn_failures.load(Ordering::Relaxed),
-            early_exits: self.early_exits.load(Ordering::Relaxed),
-            wasted_chunks: self.wasted_chunks.load(Ordering::Relaxed),
-            jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            jobs_deadline_expired: self.jobs_deadline_expired.load(Ordering::Relaxed),
-            jobs_caller_run: self.jobs_caller_run.load(Ordering::Relaxed),
-            stage_push_waits: self.stage_push_waits.load(Ordering::Relaxed),
-            items_dropped: self.items_dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -411,8 +228,8 @@ impl TaskTimer<'_> {
 
 /// Times one steal search; created by [`MetricsSink::steal_timer`] when
 /// a worker starts probing victims. [`success`](StealTimer::success)
-/// folds the old `record_steal` call and the latency sample into one;
-/// dropping the timer without success records nothing (the attempts
+/// counts the steal (via [`MetricsSink::record_steal`]) and records its
+/// latency; dropping the timer without success records nothing (the attempts
 /// themselves are counted per probe via `record_steal_attempt`).
 #[must_use = "call success(local) when the steal lands, or drop on failure"]
 pub struct StealTimer<'a> {
@@ -424,7 +241,7 @@ impl StealTimer<'_> {
     /// The steal landed: count it (classified by victim locality) and
     /// record the attempt→success latency.
     pub fn success(self, local: bool) {
-        self.sink.counters.record_steal(local);
+        self.sink.record_steal(local);
         if let Some(start) = self.start {
             self.sink
                 .observe(HistKind::StealLatency, start.elapsed().as_nanos() as u64);
@@ -432,13 +249,27 @@ impl StealTimer<'_> {
     }
 }
 
-/// The one metrics hook a pool embeds: counters plus per-kind streaming
-/// histograms. Every `record_*` of [`PoolMetrics`] is mirrored here so
-/// swapping the pool field type is the whole migration; new metrics are
-/// added to this type only.
+/// The one metrics hook a pool embeds: one relaxed atomic per
+/// [`MetricsSnapshot`] counter plus one streaming histogram per
+/// [`HistKind`].
 #[derive(Default)]
 pub struct MetricsSink {
-    counters: PoolMetrics,
+    runs: AtomicU64,
+    tasks_executed: AtomicU64,
+    steals: AtomicU64,
+    local_steals: AtomicU64,
+    remote_steals: AtomicU64,
+    steal_attempts: AtomicU64,
+    parks: AtomicU64,
+    parked_wakeups: AtomicU64,
+    splits: AtomicU64,
+    cancel_checks: AtomicU64,
+    cancelled_tasks: AtomicU64,
+    spawn_failures: AtomicU64,
+    early_exits: AtomicU64,
+    wasted_chunks: AtomicU64,
+    stage_push_waits: AtomicU64,
+    items_dropped: AtomicU64,
     hists: [Histogram; HistKind::ALL.len()],
 }
 
@@ -460,7 +291,7 @@ impl MetricsSink {
     /// the start time for [`TaskTimer::finish`].
     #[inline]
     pub fn task_timer(&self, size: u64) -> TaskTimer<'_> {
-        self.counters.record_tasks(1);
+        self.record_tasks(1);
         self.observe(HistKind::ClaimSize, size);
         TaskTimer {
             sink: self,
@@ -485,96 +316,100 @@ impl MetricsSink {
         }
     }
 
-    // ---- counter delegates (same contracts as PoolMetrics) ----
-
-    /// See [`PoolMetrics::record_run`].
+    /// Record a dispatched parallel region.
     pub fn record_run(&self) {
-        self.counters.record_run();
+        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_tasks`]. Prefer [`task_timer`]
-    /// (which also feeds the distributions) on per-task paths; this
-    /// stays for bulk/inline accounting.
+    /// Record `n` executed task fragments. Prefer [`task_timer`] (which
+    /// also feeds the distributions) on per-task paths; this stays for
+    /// bulk/inline accounting.
     ///
     /// [`task_timer`]: Self::task_timer
     pub fn record_tasks(&self, n: u64) {
-        self.counters.record_tasks(n);
+        self.tasks_executed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_steal`]. Prefer
+    /// Record a successful steal, classified by victim locality:
+    /// `local` means the victim shared the thief's NUMA node. Keeps
+    /// `steals == local_steals + remote_steals`. Prefer
     /// [`steal_timer`](Self::steal_timer) on the worker loop.
     pub fn record_steal(&self, local: bool) {
-        self.counters.record_steal(local);
+        self.steals.fetch_add(1, Ordering::Relaxed);
+        if local {
+            self.local_steals.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.remote_steals.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// See [`PoolMetrics::record_steal_attempt`].
+    /// Record a steal attempt (successful or not).
     pub fn record_steal_attempt(&self) {
-        self.counters.record_steal_attempt();
+        self.steal_attempts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_park`].
+    /// Record a worker parking.
     pub fn record_park(&self) {
-        self.counters.record_park();
+        self.parks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_parked_wakeup`].
+    /// Record a parked worker waking back up.
     pub fn record_parked_wakeup(&self) {
-        self.counters.record_parked_wakeup();
+        self.parked_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_split`].
+    /// Record a range split (demand-driven work handoff).
     pub fn record_split(&self) {
-        self.counters.record_split();
+        self.splits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_cancel`].
+    /// Record `checks` cancellation polls, of which `cancelled` found
+    /// the token tripped and skipped/aborted their work.
     pub fn record_cancel(&self, checks: u64, cancelled: u64) {
-        self.counters.record_cancel(checks, cancelled);
+        self.cancel_checks.fetch_add(checks, Ordering::Relaxed);
+        self.cancelled_tasks.fetch_add(cancelled, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_spawn_failures`].
+    /// Record `n` worker-spawn failures the pool degraded around.
     pub fn record_spawn_failures(&self, n: u64) {
-        self.counters.record_spawn_failures(n);
+        self.spawn_failures.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_search`].
+    /// Record `early_exits` search regions that returned before draining
+    /// their range, skipping or aborting `wasted` dispatched chunks.
     pub fn record_search(&self, early_exits: u64, wasted: u64) {
-        self.counters.record_search(early_exits, wasted);
+        self.early_exits.fetch_add(early_exits, Ordering::Relaxed);
+        self.wasted_chunks.fetch_add(wasted, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::record_job_admitted`].
-    pub fn record_job_admitted(&self) {
-        self.counters.record_job_admitted();
-    }
-
-    /// See [`PoolMetrics::record_job_rejected`].
-    pub fn record_job_rejected(&self) {
-        self.counters.record_job_rejected();
-    }
-
-    /// See [`PoolMetrics::record_job_shed`].
-    pub fn record_job_shed(&self, deadline_expired: bool) {
-        self.counters.record_job_shed(deadline_expired);
-    }
-
-    /// See [`PoolMetrics::record_job_retried`].
-    pub fn record_job_retried(&self) {
-        self.counters.record_job_retried();
-    }
-
-    /// See [`PoolMetrics::record_jobs_caller_run`].
-    pub fn record_jobs_caller_run(&self, n: u64) {
-        self.counters.record_jobs_caller_run(n);
-    }
-
-    /// See [`PoolMetrics::record_stream`].
+    /// Record `push_waits` backpressure stalls and `dropped` in-flight
+    /// items discarded by a streaming pipeline region.
     pub fn record_stream(&self, push_waits: u64, dropped: u64) {
-        self.counters.record_stream(push_waits, dropped);
+        self.stage_push_waits
+            .fetch_add(push_waits, Ordering::Relaxed);
+        self.items_dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 
-    /// See [`PoolMetrics::snapshot`].
+    /// Copy the current counter values.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.counters.snapshot()
+        MetricsSnapshot {
+            runs: self.runs.load(Ordering::Relaxed),
+            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
+            steals: self.steals.load(Ordering::Relaxed),
+            local_steals: self.local_steals.load(Ordering::Relaxed),
+            remote_steals: self.remote_steals.load(Ordering::Relaxed),
+            steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            parked_wakeups: self.parked_wakeups.load(Ordering::Relaxed),
+            splits: self.splits.load(Ordering::Relaxed),
+            cancel_checks: self.cancel_checks.load(Ordering::Relaxed),
+            cancelled_tasks: self.cancelled_tasks.load(Ordering::Relaxed),
+            spawn_failures: self.spawn_failures.load(Ordering::Relaxed),
+            early_exits: self.early_exits.load(Ordering::Relaxed),
+            wasted_chunks: self.wasted_chunks.load(Ordering::Relaxed),
+            stage_push_waits: self.stage_push_waits.load(Ordering::Relaxed),
+            items_dropped: self.items_dropped.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -584,7 +419,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let m = PoolMetrics::new();
+        let m = MetricsSink::new();
         m.record_run();
         m.record_tasks(10);
         m.record_tasks(5);
@@ -600,13 +435,6 @@ mod tests {
         m.record_spawn_failures(1);
         m.record_search(1, 3);
         m.record_search(1, 4);
-        m.record_job_admitted();
-        m.record_job_admitted();
-        m.record_job_rejected();
-        m.record_job_shed(false);
-        m.record_job_shed(true);
-        m.record_job_retried();
-        m.record_jobs_caller_run(3);
         m.record_stream(4, 2);
         m.record_stream(1, 0);
         let s = m.snapshot();
@@ -625,19 +453,13 @@ mod tests {
         assert_eq!(s.spawn_failures, 1);
         assert_eq!(s.early_exits, 2);
         assert_eq!(s.wasted_chunks, 7);
-        assert_eq!(s.jobs_admitted, 2);
-        assert_eq!(s.jobs_rejected, 1);
-        assert_eq!(s.jobs_shed, 2);
-        assert_eq!(s.jobs_retried, 1);
-        assert_eq!(s.jobs_deadline_expired, 1);
-        assert_eq!(s.jobs_caller_run, 3);
         assert_eq!(s.stage_push_waits, 5);
         assert_eq!(s.items_dropped, 2);
     }
 
     #[test]
     fn snapshot_delta() {
-        let m = PoolMetrics::new();
+        let m = MetricsSink::new();
         m.record_run();
         m.record_tasks(4);
         let a = m.snapshot();

@@ -33,10 +33,11 @@
 //!   through three thread hops (the runtime's master-participates rule,
 //!   applied to the one thread certainly idle: the one waiting).
 //!
-//! Every admission decision feeds the runtime core's counters
-//! (`jobs_admitted` / `jobs_rejected` / `jobs_shed` / `jobs_retried` /
-//! `jobs_deadline_expired`, surfacing in `SchedDelta` JSON like every
-//! other scheduling counter) and dispatch latency feeds the
+//! Every admission decision is booked once, in the service's own ledger
+//! ([`JobService::stats`], a [`ServiceStatsSnapshot`]: admissions,
+//! typed refusals, sheds by reason, retries, caller-runs, per-class
+//! outcomes); the pool counters keep only pool facts (cancellations
+//! count there as `cancelled_tasks`), and dispatch latency feeds the
 //! [`HistKind::QueueWait`] histogram. The service keeps the exact
 //! conservation law `admitted == completed + shed + cancelled + failed`
 //! once drained — the overload chaos suite asserts it after every
@@ -94,7 +95,8 @@ impl Priority {
 }
 
 /// Why a submission was refused at admission. Rejected jobs were never
-/// admitted: they appear in `jobs_rejected` and in no other counter.
+/// admitted: they appear in the `rejected_*` stats and in no other
+/// counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejected {
     /// The bounded queue is at capacity and no lower-priority job could
@@ -729,7 +731,6 @@ impl Shared {
         let class = &self.stats.class[job.priority.index()];
         match &terminal {
             Terminal::Shed(reason) => {
-                let deadline = matches!(reason, ShedReason::DeadlineExpired);
                 match reason {
                     ShedReason::Overload => self.stats.shed_overload.fetch_add(1, o),
                     ShedReason::DeadlineExpired => self.stats.shed_deadline.fetch_add(1, o),
@@ -737,7 +738,6 @@ impl Shared {
                     ShedReason::Shutdown => self.stats.shed_shutdown.fetch_add(1, o),
                 };
                 class.shed.fetch_add(1, o);
-                self.core.metrics().record_job_shed(deadline);
             }
             Terminal::Cancelled => {
                 self.stats.cancelled.fetch_add(1, o);
@@ -812,7 +812,6 @@ impl Shared {
                 job.enqueued = Instant::now();
                 let due = job.enqueued + self.cfg.retry.backoff(job.id, job.attempts);
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                self.core.metrics().record_job_retried();
                 inner.retries.push(RetryEntry { due, job });
                 drop(inner);
                 self.cond.notify_all();
@@ -949,7 +948,6 @@ impl Shared {
         // when the waiter observes the outcome.
         let n = batch.len() as u64;
         self.stats.caller_runs.fetch_add(n, Ordering::Relaxed);
-        self.core.metrics().record_jobs_caller_run(n);
         self.execute_batch(batch);
     }
 
@@ -1067,31 +1065,30 @@ impl JobService {
         F: Fn(&CancelToken) -> T + Send + 'static,
     {
         let shared = &self.shared;
-        let metrics_reject = |stat: &AtomicU64, err: Rejected| {
+        let reject = |stat: &AtomicU64, err: Rejected| {
             stat.fetch_add(1, Ordering::Relaxed);
-            shared.core.metrics().record_job_rejected();
             Err(err)
         };
 
         // Injected admission fault (chaos testing): deterministic
         // rejection of the k-th submission, reported as shedding.
         if shared.core.faults().on_admission() {
-            return metrics_reject(&shared.stats.rejected_shedding, Rejected::Shedding);
+            return reject(&shared.stats.rejected_shedding, Rejected::Shedding);
         }
 
         let mut inner = shared.inner.lock();
         if inner.shutdown {
             drop(inner);
-            return metrics_reject(&shared.stats.rejected_shedding, Rejected::Shedding);
+            return reject(&shared.stats.rejected_shedding, Rejected::Shedding);
         }
         if inner.tenants.get(&spec.tenant).copied().unwrap_or(0) >= shared.cfg.tenant_quota {
             drop(inner);
-            return metrics_reject(&shared.stats.rejected_quota, Rejected::Quota);
+            return reject(&shared.stats.rejected_quota, Rejected::Quota);
         }
         let queued = inner.queued();
         if queued >= shared.cfg.shed_watermark && spec.priority == Priority::Low {
             drop(inner);
-            return metrics_reject(&shared.stats.rejected_shedding, Rejected::Shedding);
+            return reject(&shared.stats.rejected_shedding, Rejected::Shedding);
         }
         let mut displaced = None;
         if queued >= shared.cfg.queue_cap {
@@ -1103,7 +1100,7 @@ impl JobService {
                 Some(c) => displaced = inner.classes[c].pop_back(),
                 None => {
                     drop(inner);
-                    return metrics_reject(&shared.stats.rejected_queue_full, Rejected::QueueFull);
+                    return reject(&shared.stats.rejected_queue_full, Rejected::QueueFull);
                 }
             }
         }
@@ -1146,7 +1143,6 @@ impl JobService {
         shared.stats.class[spec.priority.index()]
             .admitted
             .fetch_add(1, o);
-        shared.core.metrics().record_job_admitted();
         if let Some(victim) = displaced {
             shared.resolve_terminal(victim, Terminal::Shed(ShedReason::Overload));
         }
@@ -1181,8 +1177,8 @@ impl JobService {
         self.shared.stats.snapshot()
     }
 
-    /// Scheduling counters of the underlying pool (includes the
-    /// `jobs_*` service counters).
+    /// Scheduling counters of the underlying pool. Job-level facts are
+    /// in [`stats`](Self::stats) only.
     pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
         self.shared.core.snapshot()
     }
@@ -1512,7 +1508,6 @@ mod tests {
         assert_eq!(s.admitted, 200);
         assert_eq!(s.completed, 200);
         assert!(s.accounting_balanced());
-        assert_eq!(svc.metrics().jobs_admitted, 200);
     }
 
     #[test]
@@ -1621,10 +1616,8 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.shed_deadline, 1);
         assert_eq!(s.cancelled, 0);
+        assert_eq!(s.shed_total(), 1);
         assert!(s.accounting_balanced());
-        let m = svc.metrics();
-        assert_eq!(m.jobs_shed, 1);
-        assert_eq!(m.jobs_deadline_expired, 1);
     }
 
     #[test]
@@ -1662,7 +1655,6 @@ mod tests {
         assert_eq!(s.retries, 2);
         assert_eq!(s.failed, 1);
         assert!(s.accounting_balanced());
-        assert_eq!(svc.metrics().jobs_retried, 2);
     }
 
     #[test]
@@ -1821,14 +1813,12 @@ mod tests {
         svc.join();
         let s = svc.stats();
         assert_eq!(s.shed_cancelled, 1);
-        assert_eq!(s.shed_deadline, 0, "no deadline ever armed");
-        assert!(s.accounting_balanced());
-        let m = svc.metrics();
-        assert_eq!(m.jobs_shed, 1);
+        assert_eq!(s.shed_total(), 1);
         assert_eq!(
-            m.jobs_deadline_expired, 0,
+            s.shed_deadline, 0,
             "explicit cancel must not count as expiry"
         );
+        assert!(s.accounting_balanced());
     }
 
     #[test]
@@ -1893,7 +1883,6 @@ mod tests {
         svc.join();
         let s = svc.stats();
         assert_eq!(s.caller_runs, 1);
-        assert_eq!(svc.metrics().jobs_caller_run, 1);
         assert!(s.accounting_balanced());
     }
 
@@ -2175,9 +2164,6 @@ mod tests {
             s.completed + s.shed_total() + s.cancelled + s.failed
         );
         assert!(s.accounting_balanced());
-        let m = svc.metrics();
-        assert_eq!(m.jobs_retried, s.retries);
-        assert_eq!(m.jobs_caller_run, s.caller_runs);
     }
 
     #[test]

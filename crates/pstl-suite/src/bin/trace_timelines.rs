@@ -28,7 +28,7 @@ use pstl_sim::Backend;
 use pstl_suite::backends::BackendHost;
 use pstl_suite::output::{results_dir, TableDoc, TableRow};
 use pstl_suite::{kernels, workload};
-use pstl_trace::{chrome, stats};
+use pstl_trace::{analyze, chrome, stats};
 
 fn main() -> std::io::Result<()> {
     let mut threads = std::env::var("PSTL_THREADS")
@@ -94,13 +94,13 @@ fn main() -> std::io::Result<()> {
                     );
                 }
             }
-            let s = stats::analyze(&log);
-            let steals: u64 = s.workers.iter().map(|w| w.steals).sum();
-            let tasks: u64 = s.workers.iter().map(|w| w.tasks).sum();
-            let mean_util = if s.workers.is_empty() {
+            let a = analyze::analyze_log(&log);
+            let steals: u64 = a.workers.iter().map(|w| w.steals).sum();
+            let tasks: u64 = a.workers.iter().map(|w| w.tasks).sum();
+            let mean_util = if a.workers.is_empty() {
                 0.0
             } else {
-                s.workers.iter().map(|w| w.utilization).sum::<f64>() / s.workers.len() as f64
+                a.workers.iter().map(|w| w.utilization).sum::<f64>() / a.workers.len() as f64
             };
             rows.push(TableRow {
                 label: format!("{}/{}", backend.name(), kernel),

@@ -141,10 +141,9 @@ pub struct ServiceRow {
     pub load_factor: f64,
     /// The generator's view: outcomes and exact latency percentiles.
     pub report: LoadReport,
-    /// The service's view: admission/terminal counters.
+    /// The service's view: admission/terminal counters, retries and
+    /// caller-runs.
     pub stats: ServiceStatsSnapshot,
-    /// Pool-level retry count (transient-fault re-executions).
-    pub retried: u64,
     /// The conservation law `admitted == completed + shed + cancelled +
     /// failed` held after drain.
     pub accounting_balanced: bool,
@@ -216,7 +215,6 @@ fn finish_row(name: &str, load_factor: f64, report: LoadReport, svc: &JobService
         load_factor,
         report,
         stats,
-        retried: svc.metrics().jobs_retried,
         accounting_balanced: stats.accounting_balanced(),
     }
 }
@@ -389,7 +387,7 @@ pub fn run() -> std::io::Result<()> {
             row.report.submitted,
             row.stats.completed,
             refused,
-            row.retried,
+            row.stats.retries,
             row.stats.caller_runs,
             high_p99,
             row.report.completed_per_sec
@@ -473,21 +471,61 @@ mod tests {
 
     #[test]
     fn overload_never_loses_high_class_work() {
-        let _turn = serial();
-        let doc = build_with(quick_params());
-        let overload = doc.rows.iter().find(|r| r.name == "open_2x").unwrap();
-        let high = overload.report.class(Priority::High);
+        // 2x overload by count, not by rate: the one worker is plugged
+        // while `2 * queue_cap` jobs arrive, so the queue overflows on
+        // any host, however busy.
+        let params = quick_params();
+        let svc = JobService::new(sweep_config(params));
+        let (started, plugged) = std::sync::mpsc::channel();
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let plug = svc.pool().spawn(move || {
+            started.send(()).unwrap();
+            let _ = gate.recv();
+        });
+        plugged.recv().unwrap();
+
+        // MIX proportions, interleaved: every run of 16 submissions
+        // holds 5 lows, 10 normals and 1 high.
+        let period: u32 = MIX.iter().sum();
+        let mut submitted = [0u64; 3];
+        let mut rejected = [0u64; 3];
+        for i in 0..2 * params.queue_cap as u32 {
+            let slot = i % period;
+            let class = if slot < MIX[0] {
+                0
+            } else if slot < MIX[0] + MIX[1] {
+                1
+            } else {
+                2
+            };
+            let spec = JobSpec::tenant(u64::from(i) % TENANTS)
+                .priority(Priority::ALL[class])
+                .cost(Duration::from_micros(200));
+            submitted[class] += 1;
+            if svc.submit(spec, |_t: &CancelToken| {}).is_err() {
+                rejected[class] += 1;
+            }
+        }
+        open.send(()).unwrap();
+        plug.wait();
+        svc.join();
+
+        let s = svc.stats();
+        assert!(s.accounting_balanced(), "ledger unbalanced: {s:?}");
+        assert_eq!(s.admitted + s.rejected_total(), submitted.iter().sum());
+        let high = s.per_class[Priority::High.index()];
         assert_eq!(
-            high.rejected + high.shed + high.cancelled + high.failed,
-            0,
-            "high-class work was refused or dropped under 2x overload: {high:?}"
+            (rejected[2], high.shed, high.cancelled, high.failed),
+            (0, 0, 0, 0),
+            "high-class work was refused or dropped under 2x overload: {s:?}"
         );
-        assert_eq!(doc.gates.high_loss_fraction, 0.0);
+        assert_eq!(high.completed, submitted[2]);
         // The excess traffic has to show up somewhere: the low class
         // absorbs it at admission or via displacement.
+        let low = s.per_class[Priority::Low.index()];
         assert!(
-            doc.gates.low_refusal_fraction > 0.0,
-            "2x overload refused no low-class work"
+            rejected[0] + low.shed > 0,
+            "2x overload refused no low-class work: {s:?}"
         );
     }
 
@@ -521,7 +559,10 @@ mod tests {
         let _turn = serial();
         let doc = build_with(quick_params());
         let row = doc.rows.iter().find(|r| r.name == "fault_1x").unwrap();
-        assert!(row.retried > 0, "seeded panic_every plan caused no retries");
+        assert!(
+            row.stats.retries > 0,
+            "seeded panic_every plan caused no retries"
+        );
         assert!(row.accounting_balanced);
     }
 }

@@ -1,7 +1,9 @@
 //! The committed `results/BENCH_*.json` baselines pass their own
-//! experiment's gates without measuring again, and every gate fails on
-//! a copy of the baseline with that gate's value pushed past its bound.
+//! experiment's gates without measuring again, every gate fails on a
+//! copy of the baseline with that gate's value pushed past its bound,
+//! and every committed scheduling-counter block has today's schema.
 
+use pstl_executor::MetricsSnapshot;
 use pstl_suite::experiments::{lookup, Check, REGISTRY};
 use pstl_suite::gate::Gates;
 use serde_json::Value;
@@ -148,4 +150,33 @@ fn digest_gate_is_not_applicable_below_x86_64_v3() {
     apply(&mut doc, r#"/context/2/1="baseline""#);
     apply(&mut doc, "/kernels/8/speedup=1.0");
     assert_eq!(failed(check, &doc, &doc), Vec::<String>::new());
+}
+
+/// The sorted key names of a JSON object (empty for anything else).
+fn keys(v: &Value) -> Vec<&str> {
+    let mut keys: Vec<&str> = match v {
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    };
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn committed_sched_blocks_have_the_current_counter_keys() {
+    let text = serde_json::to_string(&MetricsSnapshot::default()).unwrap();
+    let fresh: Value = serde_json::from_str(&text).unwrap();
+    let mut checked = 0;
+    for e in REGISTRY.iter().filter(|e| e.check.is_some()) {
+        let (check, doc) = committed(e.name);
+        let benchmarks = doc.get("benchmarks").and_then(Value::as_array);
+        for (i, b) in benchmarks.into_iter().flatten().enumerate() {
+            if let Some(sched) = b.get("sched").filter(|s| !matches!(s, Value::Null)) {
+                let at = format!("{} /benchmarks/{i}/sched", check.file);
+                assert_eq!(keys(sched), keys(&fresh), "{at}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "no committed sched block found");
 }

@@ -1,11 +1,13 @@
-//! Trace analytics: utilization timelines, critical path, and
-//! bottleneck classification.
+//! Trace analytics: per-worker totals, utilization timelines, critical
+//! path, and bottleneck classification.
 //!
-//! [`stats::analyze`](crate::stats::analyze) reduces a capture to
-//! per-worker totals; this module answers the paper's *why* questions.
-//! Given a drained [`TraceLog`] it reconstructs the outermost task
-//! intervals on every track and derives:
+//! The one reduction of a drained [`TraceLog`]: a single pass over every
+//! track reconstructs its outermost task intervals and counts its
+//! scheduler events, and the rest answers the paper's *why* questions:
 //!
+//! * **per-worker rows** ([`WorkerRow`]): busy time, utilization, task
+//!   starts, steal attempts/successes by locality, parks and splits,
+//!   plus the pool-wide **task-size distribution**;
 //! * a binned **utilization timeline** (average fraction of the pool
 //!   busy in each time slice) plus per-worker min/max utilization —
 //!   the imbalance evidence;
@@ -76,6 +78,30 @@ impl std::fmt::Display for Bottleneck {
     }
 }
 
+/// One track's totals.
+#[derive(Debug, Clone, Default)]
+pub struct WorkerRow {
+    pub label: String,
+    pub events: usize,
+    /// Nanoseconds inside outermost task blocks (nested starts are
+    /// already covered by their parent).
+    pub busy_ns: u64,
+    /// `busy_ns` over the capture span.
+    pub utilization: f64,
+    /// `TaskStart` events, nested ones included.
+    pub tasks: u64,
+    pub steal_attempts: u64,
+    pub steals: u64,
+    /// Successful steals from a victim on the thief's own NUMA node.
+    pub local_steals: u64,
+    /// Successful steals that crossed NUMA nodes.
+    pub remote_steals: u64,
+    pub parks: u64,
+    /// Lazy range splits published from this track (the adaptive
+    /// partitioner's shared `splitter` track carries all of them).
+    pub splits: u64,
+}
+
 /// Full analysis of one capture.
 #[derive(Debug, Clone)]
 pub struct Analysis {
@@ -83,11 +109,13 @@ pub struct Analysis {
     pub threads: usize,
     /// Wall span of the capture (first to last event timestamp).
     pub span_ns: u64,
+    /// One row per track, in [`TraceLog`] order.
+    pub workers: Vec<WorkerRow>,
     /// Total busy nanoseconds summed over all tracks.
     pub total_busy_ns: u64,
     /// Average pool utilization: `total_busy / (span * threads)`.
     pub utilization: f64,
-    /// Utilization of the least/most busy track that executed tasks.
+    /// Utilization of the least/most busy track that started tasks.
     pub util_min: f64,
     pub util_max: f64,
     /// [`TIMELINE_BINS`] slices: average fraction of the pool's threads
@@ -104,6 +132,8 @@ pub struct Analysis {
     pub serial_fraction: f64,
     /// Attempt→success steal latencies.
     pub steal_latency: HistSnapshot,
+    /// Sizes (indices) of every started task block.
+    pub task_sizes: HistSnapshot,
     /// Outermost task intervals executed.
     pub tasks: u64,
     /// Non-task scheduler events (spawns, steals, parks, splits, ...).
@@ -111,39 +141,6 @@ pub struct Analysis {
     /// `sched_events / tasks` (0 when no tasks ran).
     pub sched_events_per_task: f64,
     pub bottleneck: Bottleneck,
-}
-
-/// Extract closed outermost task intervals from one track's stream,
-/// tolerating the drain-boundary states `validate_well_nested` allows
-/// (leading orphan finish, one trailing open start).
-fn outermost_intervals(events: &[crate::Event]) -> Vec<TaskInterval> {
-    let mut intervals = Vec::new();
-    let mut stack: Vec<u64> = Vec::new();
-    let mut seen_task = false;
-    for e in events {
-        match e.kind {
-            EventKind::TaskStart { .. } => {
-                stack.push(e.t_ns);
-                seen_task = true;
-            }
-            EventKind::TaskFinish => {
-                if let Some(start) = stack.pop() {
-                    if stack.is_empty() {
-                        intervals.push(TaskInterval {
-                            start_ns: start,
-                            end_ns: e.t_ns,
-                        });
-                    }
-                } else if seen_task {
-                    // Mid-stream underflow — validator rejects this;
-                    // treat defensively as no-op here.
-                }
-                seen_task = true;
-            }
-            _ => {}
-        }
-    }
-    intervals
 }
 
 /// Greedy backward chain: repeatedly take the interval with the latest
@@ -230,36 +227,68 @@ pub fn analyze_log(log: &TraceLog) -> Analysis {
     let threads = log.threads.max(1);
 
     let mut all_intervals: Vec<TaskInterval> = Vec::new();
-    let mut per_track_busy: Vec<u64> = Vec::new();
     let mut steal_latency = HistSnapshot::new();
+    let mut task_sizes = HistSnapshot::new();
     let mut sched_events = 0u64;
+    let mut workers = Vec::with_capacity(log.workers.len());
     for w in &log.workers {
-        let intervals = outermost_intervals(&w.events);
-        let busy: u64 = intervals.iter().map(TaskInterval::duration).sum();
-        if !intervals.is_empty() {
-            per_track_busy.push(busy);
-        }
-        all_intervals.extend(intervals);
+        let mut row = WorkerRow {
+            label: w.label.clone(),
+            events: w.events.len(),
+            ..WorkerRow::default()
+        };
+        // Open task starts; a leading orphan finish (its start drained
+        // by an earlier take) pops nothing, and a trailing open start
+        // never closes — the drain-boundary states the validator allows.
+        let mut open: Vec<u64> = Vec::new();
         let mut last_attempt: Option<u64> = None;
         for e in &w.events {
             match e.kind {
-                EventKind::TaskStart { .. } | EventKind::TaskFinish => {}
+                EventKind::TaskStart { size } => {
+                    row.tasks += 1;
+                    task_sizes.record(size);
+                    open.push(e.t_ns);
+                    continue;
+                }
+                EventKind::TaskFinish => {
+                    match open.pop() {
+                        Some(start_ns) if open.is_empty() => {
+                            let iv = TaskInterval {
+                                start_ns,
+                                end_ns: e.t_ns,
+                            };
+                            row.busy_ns += iv.duration();
+                            all_intervals.push(iv);
+                        }
+                        _ => {}
+                    }
+                    continue;
+                }
                 EventKind::StealAttempt { .. } => {
+                    row.steal_attempts += 1;
                     last_attempt = Some(e.t_ns);
-                    sched_events += 1;
                 }
                 EventKind::StealSuccess { .. } => {
+                    row.steals += 1;
                     if let Some(t) = last_attempt.take() {
                         steal_latency.record(e.t_ns.saturating_sub(t));
                     }
-                    sched_events += 1;
                 }
-                _ => sched_events += 1,
+                EventKind::LocalSteal { .. } => row.local_steals += 1,
+                EventKind::RemoteSteal { .. } => row.remote_steals += 1,
+                EventKind::Park => row.parks += 1,
+                EventKind::RangeSplit { .. } => row.splits += 1,
+                _ => {}
             }
+            sched_events += 1;
         }
+        if span_ns > 0 {
+            row.utilization = row.busy_ns as f64 / span_ns as f64;
+        }
+        workers.push(row);
     }
 
-    let total_busy_ns: u64 = all_intervals.iter().map(TaskInterval::duration).sum();
+    let total_busy_ns: u64 = workers.iter().map(|r| r.busy_ns).sum();
     let tasks = all_intervals.len() as u64;
     let denom = span_ns.saturating_mul(threads as u64);
     let utilization = if denom > 0 {
@@ -267,13 +296,12 @@ pub fn analyze_log(log: &TraceLog) -> Analysis {
     } else {
         0.0
     };
-    let (util_min, util_max) = if span_ns > 0 && !per_track_busy.is_empty() {
-        let min = *per_track_busy.iter().min().unwrap() as f64 / span_ns as f64;
-        let max = *per_track_busy.iter().max().unwrap() as f64 / span_ns as f64;
-        (min, max)
-    } else {
-        (0.0, 0.0)
-    };
+    let task_utils = workers
+        .iter()
+        .filter(|r| r.tasks > 0)
+        .map(|r| r.utilization);
+    let util_min = task_utils.clone().reduce(f64::min).unwrap_or(0.0);
+    let util_max = task_utils.reduce(f64::max).unwrap_or(0.0);
 
     // Timeline: distribute each interval's overlap over the bins.
     let mut timeline = vec![0.0f64; TIMELINE_BINS];
@@ -311,6 +339,7 @@ pub fn analyze_log(log: &TraceLog) -> Analysis {
         discipline: log.discipline,
         threads: log.threads,
         span_ns,
+        workers,
         total_busy_ns,
         utilization,
         util_min,
@@ -321,6 +350,7 @@ pub fn analyze_log(log: &TraceLog) -> Analysis {
         critical_path_fraction,
         serial_fraction: serial,
         steal_latency,
+        task_sizes,
         tasks,
         sched_events,
         sched_events_per_task,
@@ -368,6 +398,16 @@ impl std::fmt::Display for Analysis {
                 self.steal_latency.quantile(0.50),
                 self.steal_latency.quantile(0.99),
                 self.steal_latency.max
+            )?;
+        }
+        if !self.task_sizes.is_empty() {
+            writeln!(
+                f,
+                "  task sizes: n={} p50<={} p99<={} max={}",
+                self.task_sizes.count(),
+                self.task_sizes.quantile(0.50),
+                self.task_sizes.quantile(0.99),
+                self.task_sizes.max
             )?;
         }
         Ok(())
@@ -579,6 +619,67 @@ mod tests {
     }
 
     #[test]
+    fn analyze_computes_busy_and_latency() {
+        let a = analyze_log(&TraceLog {
+            discipline: "work_stealing",
+            threads: 2,
+            workers: vec![
+                track(
+                    "worker-0",
+                    vec![
+                        ev(0, EventKind::TaskStart { size: 8 }),
+                        ev(600, EventKind::TaskFinish),
+                    ],
+                ),
+                track(
+                    "worker-1",
+                    vec![
+                        ev(100, EventKind::StealAttempt { victim: 0 }),
+                        ev(250, EventKind::StealSuccess { victim: 0 }),
+                        ev(300, EventKind::TaskStart { size: 4 }),
+                        ev(1000, EventKind::TaskFinish),
+                    ],
+                ),
+            ],
+        });
+        assert_eq!(a.span_ns, 1000);
+        assert_eq!(a.workers[0].busy_ns, 600);
+        assert!((a.workers[0].utilization - 0.6).abs() < 1e-9);
+        assert_eq!(a.workers[1].steals, 1);
+        assert_eq!(a.steal_latency.count(), 1);
+        assert_eq!(a.steal_latency.max, 150);
+        let (lo, hi) = a.steal_latency.quantile_bounds(0.5);
+        assert!(lo <= 150 && 150 <= hi, "p50 bucket ({lo}, {hi})");
+        // util_min/util_max are the rows' extremes.
+        assert!((a.util_min - 0.6).abs() < 1e-9);
+        assert!((a.util_max - 0.7).abs() < 1e-9);
+        // One task of size 4 and one of size 8.
+        assert_eq!(a.task_sizes.count(), 2);
+        assert_eq!(a.task_sizes.buckets[crate::hist::bucket_of(4)], 1);
+        assert_eq!(a.task_sizes.buckets[crate::hist::bucket_of(8)], 1);
+        // Display renders without panicking and mentions the backend.
+        assert!(format!("{a}").contains("work_stealing"));
+    }
+
+    #[test]
+    fn nested_tasks_count_outer_busy_once() {
+        let a = analyze_log(&log(
+            1,
+            vec![track(
+                "worker-0",
+                vec![
+                    ev(0, EventKind::TaskStart { size: 4 }),
+                    ev(100, EventKind::TaskStart { size: 2 }),
+                    ev(200, EventKind::TaskFinish),
+                    ev(400, EventKind::TaskFinish),
+                ],
+            )],
+        ));
+        assert_eq!(a.workers[0].busy_ns, 400);
+        assert_eq!(a.workers[0].tasks, 2);
+    }
+
+    #[test]
     fn display_renders() {
         let a = analyze_log(&log(
             2,
@@ -592,6 +693,7 @@ mod tests {
         ));
         let s = format!("{a}");
         assert!(s.contains("critical path"));
+        assert!(s.contains("task sizes: n=1"));
         assert!(s.contains("bottleneck"));
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! * [`chrome::trace_json`] — Chrome trace-event JSON (open in
 //!   `chrome://tracing` or Perfetto), one track per worker;
-//! * [`stats::analyze`] — derived scheduler statistics: per-worker
-//!   utilization, steal-latency distribution, task-size histogram.
+//! * [`analyze::analyze_log`] — derived scheduler statistics: per-worker
+//!   utilization, steal-latency and task-size distributions, critical
+//!   path and bottleneck class.
 //!
 //! Recording is gated behind the `record` cargo feature. Without it,
 //! [`PoolTracer`]/[`WorkerRecorder`] are zero-sized and

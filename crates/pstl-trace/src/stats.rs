@@ -1,194 +1,8 @@
-//! Derived scheduler statistics and stream validation.
-//!
-//! Reduces a [`TraceLog`] to the numbers the paper's Tables 3–4 story
-//! is told in: how busy each worker was, how long steals took, and how
-//! large the executed task blocks were. Also hosts the well-nestedness
-//! validator the tracing test-suite leans on.
+//! Stream validation: the well-nestedness check the tracing test-suite
+//! leans on. The derived statistics (per-worker busy time, steal
+//! latency, task sizes) are [`analyze_log`](crate::analyze::analyze_log)'s.
 
-use crate::{EventKind, TraceLog, WorkerTrace};
-
-/// Per-worker summary.
-#[derive(Debug, Clone)]
-pub struct WorkerStats {
-    pub label: String,
-    pub events: usize,
-    /// Nanoseconds spent inside task blocks.
-    pub busy_ns: u64,
-    /// `busy_ns` over the capture span.
-    pub utilization: f64,
-    pub tasks: u64,
-    pub steal_attempts: u64,
-    pub steals: u64,
-    /// Successful steals from a victim on the thief's own NUMA node.
-    pub local_steals: u64,
-    /// Successful steals that crossed NUMA nodes.
-    pub remote_steals: u64,
-    pub parks: u64,
-    /// Lazy range splits published from this track (the adaptive
-    /// partitioner's shared `splitter` track carries all of them).
-    pub splits: u64,
-}
-
-/// Distribution of attempt→success steal latencies.
-#[derive(Debug, Clone)]
-pub struct StealLatency {
-    pub samples: usize,
-    pub p50_ns: u64,
-    pub p90_ns: u64,
-    pub max_ns: u64,
-}
-
-/// Full derived-stats report.
-#[derive(Debug, Clone)]
-pub struct TraceStats {
-    pub discipline: &'static str,
-    pub threads: usize,
-    /// Wall span covered by the capture (first to last event).
-    pub span_ns: u64,
-    pub workers: Vec<WorkerStats>,
-    pub steal_latency: Option<StealLatency>,
-    /// Executed task-block sizes, bucketed by `floor(log2(size))`:
-    /// `(log2_bucket, count)`, ascending, empty buckets omitted.
-    pub task_size_hist: Vec<(u32, u64)>,
-}
-
-/// Summarize a capture.
-pub fn analyze(log: &TraceLog) -> TraceStats {
-    let all_times = log
-        .workers
-        .iter()
-        .flat_map(|w| w.events.iter().map(|e| e.t_ns));
-    let t_min = all_times.clone().min().unwrap_or(0);
-    let t_max = all_times.max().unwrap_or(0);
-    let span_ns = t_max - t_min;
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut hist = std::collections::BTreeMap::<u32, u64>::new();
-    let workers = log
-        .workers
-        .iter()
-        .map(|w| {
-            let mut stats = WorkerStats {
-                label: w.label.clone(),
-                events: w.events.len(),
-                busy_ns: 0,
-                utilization: 0.0,
-                tasks: 0,
-                steal_attempts: 0,
-                steals: 0,
-                local_steals: 0,
-                remote_steals: 0,
-                parks: 0,
-                splits: 0,
-            };
-            let mut task_starts: Vec<u64> = Vec::new();
-            let mut last_attempt: Option<u64> = None;
-            for e in &w.events {
-                match e.kind {
-                    EventKind::TaskStart { size } => {
-                        stats.tasks += 1;
-                        task_starts.push(e.t_ns);
-                        *hist.entry(63 - size.max(1).leading_zeros()).or_default() += 1;
-                    }
-                    EventKind::TaskFinish => {
-                        if let Some(start) = task_starts.pop() {
-                            // Count only outermost blocks toward busy
-                            // time — nested starts are already covered.
-                            if task_starts.is_empty() {
-                                stats.busy_ns += e.t_ns.saturating_sub(start);
-                            }
-                        }
-                    }
-                    EventKind::StealAttempt { .. } => {
-                        stats.steal_attempts += 1;
-                        last_attempt = Some(e.t_ns);
-                    }
-                    EventKind::StealSuccess { .. } => {
-                        stats.steals += 1;
-                        if let Some(t) = last_attempt.take() {
-                            latencies.push(e.t_ns.saturating_sub(t));
-                        }
-                    }
-                    EventKind::LocalSteal { .. } => stats.local_steals += 1,
-                    EventKind::RemoteSteal { .. } => stats.remote_steals += 1,
-                    EventKind::Park => stats.parks += 1,
-                    EventKind::RangeSplit { .. } => stats.splits += 1,
-                    _ => {}
-                }
-            }
-            if span_ns > 0 {
-                stats.utilization = stats.busy_ns as f64 / span_ns as f64;
-            }
-            stats
-        })
-        .collect();
-
-    latencies.sort_unstable();
-    let steal_latency = (!latencies.is_empty()).then(|| {
-        let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-        StealLatency {
-            samples: latencies.len(),
-            p50_ns: pct(0.50),
-            p90_ns: pct(0.90),
-            max_ns: *latencies.last().unwrap(),
-        }
-    });
-
-    TraceStats {
-        discipline: log.discipline,
-        threads: log.threads,
-        span_ns,
-        workers,
-        steal_latency,
-        task_size_hist: hist.into_iter().collect(),
-    }
-}
-
-impl std::fmt::Display for TraceStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "trace stats: {} (threads={}, span={:.3} ms)",
-            self.discipline,
-            self.threads,
-            self.span_ns as f64 / 1e6
-        )?;
-        writeln!(
-            f,
-            "  {:<10} {:>7} {:>10} {:>6} {:>8} {:>7} {:>6} {:>6}",
-            "track", "events", "busy_ms", "util", "attempts", "steals", "parks", "splits"
-        )?;
-        for w in &self.workers {
-            writeln!(
-                f,
-                "  {:<10} {:>7} {:>10.3} {:>5.1}% {:>8} {:>7} {:>6} {:>6}",
-                w.label,
-                w.events,
-                w.busy_ns as f64 / 1e6,
-                w.utilization * 100.0,
-                w.steal_attempts,
-                w.steals,
-                w.parks,
-                w.splits
-            )?;
-        }
-        if let Some(sl) = &self.steal_latency {
-            writeln!(
-                f,
-                "  steal latency: n={} p50={}ns p90={}ns max={}ns",
-                sl.samples, sl.p50_ns, sl.p90_ns, sl.max_ns
-            )?;
-        }
-        if !self.task_size_hist.is_empty() {
-            write!(f, "  task sizes:")?;
-            for (bucket, count) in &self.task_size_hist {
-                write!(f, " 2^{bucket}:{count}")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
+use crate::{EventKind, WorkerTrace};
 
 /// Check that one worker's stream is well-nested:
 ///
@@ -294,54 +108,6 @@ mod tests {
             events,
             dropped: 0,
         }
-    }
-
-    #[test]
-    fn analyze_computes_busy_and_latency() {
-        let log = TraceLog {
-            discipline: "work_stealing",
-            threads: 2,
-            workers: vec![
-                track(vec![
-                    ev(0, EventKind::TaskStart { size: 8 }),
-                    ev(600, EventKind::TaskFinish),
-                ]),
-                track(vec![
-                    ev(100, EventKind::StealAttempt { victim: 0 }),
-                    ev(250, EventKind::StealSuccess { victim: 0 }),
-                    ev(300, EventKind::TaskStart { size: 4 }),
-                    ev(1000, EventKind::TaskFinish),
-                ]),
-            ],
-        };
-        let stats = analyze(&log);
-        assert_eq!(stats.span_ns, 1000);
-        assert_eq!(stats.workers[0].busy_ns, 600);
-        assert!((stats.workers[0].utilization - 0.6).abs() < 1e-9);
-        assert_eq!(stats.workers[1].steals, 1);
-        let sl = stats.steal_latency.as_ref().unwrap();
-        assert_eq!(sl.samples, 1);
-        assert_eq!(sl.p50_ns, 150);
-        // 8 → bucket 3, 4 → bucket 2.
-        assert_eq!(stats.task_size_hist, vec![(2, 1), (3, 1)]);
-        // Display renders without panicking and mentions the backend.
-        assert!(format!("{stats}").contains("work_stealing"));
-    }
-
-    #[test]
-    fn nested_tasks_count_outer_busy_once() {
-        let stats = analyze(&TraceLog {
-            discipline: "task_pool",
-            threads: 1,
-            workers: vec![track(vec![
-                ev(0, EventKind::TaskStart { size: 4 }),
-                ev(100, EventKind::TaskStart { size: 2 }),
-                ev(200, EventKind::TaskFinish),
-                ev(400, EventKind::TaskFinish),
-            ])],
-        });
-        assert_eq!(stats.workers[0].busy_ns, 400);
-        assert_eq!(stats.workers[0].tasks, 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use pstl::{reduce, ExecutionPolicy};
 use pstl_executor::{build_pool, Discipline};
-use pstl_trace::{chrome, stats};
+use pstl_trace::{analyze, chrome};
 
 fn main() {
     if !pstl_trace::enabled() {
@@ -47,15 +47,15 @@ fn main() {
         let log = pool
             .take_trace()
             .expect("every pool discipline supports tracing");
-        let s = stats::analyze(&log);
+        let a = analyze::analyze_log(&log);
         println!(
             "{}: {} events on {} tracks, span {:.2} ms",
             log.discipline,
             log.event_count(),
             log.workers.len(),
-            s.span_ns as f64 / 1e6
+            a.span_ns as f64 / 1e6
         );
-        for w in &s.workers {
+        for w in &a.workers {
             println!(
                 "  {:<10} {:>5} events, {:>4} tasks, util {:>5.1}%",
                 w.label,

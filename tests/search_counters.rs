@@ -1,6 +1,6 @@
 //! Counter and trace invariants of the early-exit search engine:
 //! `early_exits` / `wasted_chunks` must flow from the engine's drop
-//! guard through `PoolMetrics` into `SchedDelta` JSON, stay consistent
+//! guard through `MetricsSink` into `SchedDelta` JSON, stay consistent
 //! with the dispatched-chunk totals, and the `EarlyExit` trace event
 //! must not break per-worker well-nestedness on any pool.
 
