@@ -4,7 +4,7 @@
 //! flattened to dotted-path numeric leaves, the paths are matched
 //! against a whitelist of performance keys with a known direction
 //! (time-like: lower is better; throughput-like: higher is better),
-//! and each shared key is compared under a multiplicative noise band.
+//! and each shared key is compared under a noise band (see [`diff`]).
 //! Everything else — configuration (`threads`, `n`, `grain`), counters,
 //! indices — is ignored: a counter moving is not a regression.
 //!
@@ -52,6 +52,10 @@ const LOWER_BETTER: [&str; 10] = [
     "makespan",
     "fraction",
 ];
+
+/// The floor under a `fraction` key's band: fractions live in [0, 1],
+/// so `noise × old` around a small one is only a few hundredths wide.
+const FRACTION_FLOOR: f64 = 0.1;
 
 /// Substrings marking a path as machine-independent (survives
 /// `ratios_only`).
@@ -150,8 +154,9 @@ pub struct DiffLine {
 }
 
 /// Compare every whitelisted performance key of the baseline. `noise`
-/// is the allowed multiplicative band (0.25 = 25%). Keys whose baseline
-/// value is zero or non-finite are skipped (no ratio exists); a
+/// is the allowed multiplicative band (0.25 = 25%); a `fraction` key
+/// may move by `noise × max(old, FRACTION_FLOOR)` instead. Keys whose
+/// baseline value is zero or non-finite are skipped (no ratio exists); a
 /// whitelisted baseline key *absent from the candidate* is reported as
 /// regressed with a NaN candidate value. Keys only the candidate has
 /// are new measurements and are not compared.
@@ -188,17 +193,21 @@ pub fn diff(old: &Value, new: &Value, noise: f64, ratios_only: bool) -> Vec<Diff
         if !new_v.is_finite() {
             continue;
         }
-        let ratio = new_v / old_v;
+        let band = if contains_word(path, "fraction") {
+            noise * old_v.max(FRACTION_FLOOR)
+        } else {
+            noise * old_v
+        };
         let regressed = match direction {
-            Direction::LowerIsBetter => ratio > 1.0 + noise,
-            Direction::HigherIsBetter => ratio < 1.0 - noise,
+            Direction::LowerIsBetter => new_v - old_v > band,
+            Direction::HigherIsBetter => old_v - new_v > band,
         };
         lines.push(DiffLine {
             path: path.clone(),
             direction,
             old: *old_v,
             new: *new_v,
-            ratio,
+            ratio: new_v / old_v,
             regressed,
         });
     }
@@ -323,6 +332,15 @@ mod tests {
         assert_eq!(lines.len(), 1, "only the fraction survives");
         assert_eq!(lines[0].path, "serial_fraction");
         assert!(!has_regression(&lines), "the 5x time_ms blowup is ignored");
+    }
+
+    #[test]
+    fn small_fractions_get_a_floored_band() {
+        let old = v(r#"{"profile": {"serial_fraction": 0.042}}"#);
+        let noisy = v(r#"{"profile": {"serial_fraction": 0.083}}"#);
+        let worse = v(r#"{"profile": {"serial_fraction": 0.25}}"#);
+        assert!(!has_regression(&diff(&old, &noisy, 0.75, true)));
+        assert!(has_regression(&diff(&old, &worse, 0.75, true)));
     }
 
     #[test]

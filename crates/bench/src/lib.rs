@@ -1,61 +1,4 @@
-//! Shared setup for the criterion benches.
-//!
-//! The benches exercise the *real* `pstl` library on the host machine,
-//! one criterion group per studied kernel, with each paper backend
-//! mapped to its scheduling discipline (see `pstl_suite::backends`).
-//! They complement the simulated figures: at host scale they validate
-//! the qualitative ordering the model assumes (sequential wins tiny
-//! inputs, the task pool pays the highest dispatch overhead, the GNU
-//! flavor's threshold skips the dispatch entirely).
+//! The `bench-diff` perf gate: [`diff`] compares two committed-baseline
+//! JSON files (`results/BENCH_*.json`) key by key.
 
 pub mod diff;
-
-use pstl::ExecutionPolicy;
-use pstl_sim::Backend;
-use pstl_suite::BackendHost;
-
-/// Thread count for the bench pools: `$PSTL_THREADS` or 2 (the suite is
-/// routinely run on small CI hosts; raise the variable on big machines).
-pub fn bench_threads() -> usize {
-    std::env::var("PSTL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
-/// The backends × policies every kernel group iterates, with stable
-/// labels.
-pub fn bench_policies(host: &BackendHost) -> Vec<(&'static str, Backend, ExecutionPolicy)> {
-    [
-        Backend::GccSeq,
-        Backend::GccTbb,
-        Backend::GccGnu,
-        Backend::GccHpx,
-        Backend::NvcOmp,
-    ]
-    .into_iter()
-    .map(|b| (b.name(), b, host.policy_for(b).expect("cpu backend")))
-    .collect()
-}
-
-/// Problem sizes benched (kept laptop-friendly; the paper sweeps to
-/// 2^30 on its cluster machines).
-pub const BENCH_SIZES: [usize; 3] = [1 << 10, 1 << 14, 1 << 18];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn policies_cover_five_backends() {
-        let host = BackendHost::new(2);
-        let p = bench_policies(&host);
-        assert_eq!(p.len(), 5);
-        assert_eq!(p[0].0, "GCC-SEQ");
-    }
-
-    #[test]
-    fn thread_default_is_positive() {
-        assert!(bench_threads() >= 1);
-    }
-}

@@ -41,11 +41,11 @@ use std::time::Instant;
 
 use pstl::kernel::isa::{self, Level};
 use pstl::kernel::{compare, reduce, scan};
-use pstl_harness::Stats;
 use pstl_sim::{Backend, CpuSim, Kernel, KernelCalibration, RunParams};
 use serde::Serialize;
 use serde_json::Value;
 
+use super::paired;
 use super::stream::{self, mix, Record};
 use crate::gate::{entry, items, Gates, Need};
 use crate::output::write_json;
@@ -92,30 +92,6 @@ struct Report {
     kernels: Vec<KernelRow>,
     /// Sim-consumable block, shaped for `CpuSim::with_calibration`.
     calibration: KernelCalibration,
-}
-
-/// Run `time(rep, side)` for sides 0 and 1 back to back, `pairs` times,
-/// alternating which side goes first, after one warm-up pair: the median
-/// of each side's times, and the median of the per-pair ratios side 0 /
-/// side 1. A burst of host noise lands on one pair rather than on one
-/// side, and the median does not chase either side's luck: best-of
-/// timing of each side on its own moved the u64 sort-leaf ratio between
-/// 0.85 and 1.10 from run to run on a shared 2-core host.
-fn paired(pairs: usize, mut time: impl FnMut(usize, usize) -> f64) -> (f64, f64, f64) {
-    let (mut zero, mut one, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for rep in 0..=pairs {
-        let mut t = [0.0; 2];
-        for side in [rep % 2, 1 - rep % 2] {
-            t[side] = time(rep, side);
-        }
-        if rep > 0 {
-            zero.push(t[0]);
-            one.push(t[1]);
-            ratios.push(t[0] / t[1]);
-        }
-    }
-    let median = |v: &[f64]| Stats::from_samples(v).median;
-    (median(&zero), median(&one), median(&ratios))
 }
 
 fn scrambled_u32(n: usize) -> Vec<u32> {

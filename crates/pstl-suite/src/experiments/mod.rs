@@ -23,6 +23,7 @@ pub mod fig9;
 pub mod find_position;
 pub mod kernel_calibrate;
 pub mod numa_real;
+pub mod overhead_ladder;
 pub mod profile;
 pub mod roofline;
 pub mod service;
@@ -38,6 +39,7 @@ pub mod table6;
 pub mod table7;
 pub mod weak_scaling;
 
+use pstl_harness::Stats;
 use pstl_sim::kernels::Kernel;
 use pstl_sim::machine::Machine;
 use pstl_sim::{Backend, CpuSim, RunParams};
@@ -119,6 +121,7 @@ pub static REGISTRY: &[Experiment] = &[
     gated!("ext_service", service, "BENCH_service.json"),
     gated!("ext_stream", stream, "BENCH_stream.json"),
     gated!("kernel_calibrate", kernel_calibrate, "BENCH_kernels.json"),
+    gated!("overhead_ladder", overhead_ladder, "BENCH_overhead.json"),
 ];
 
 /// The registry entry called `name`.
@@ -147,6 +150,30 @@ pub fn speedup(
 /// Modeled run time of one invocation.
 pub fn time(machine: &Machine, backend: Backend, kernel: Kernel, n: usize, threads: usize) -> f64 {
     CpuSim::new(machine.clone(), backend).time(&RunParams::new(kernel, n, threads))
+}
+
+/// Run `time(rep, side)` for sides 0 and 1 back to back, `pairs` times,
+/// alternating which side goes first, after one warm-up pair: the median
+/// of each side's times, and the median of the per-pair ratios side 0 /
+/// side 1. A burst of host noise lands on one pair rather than on one
+/// side, and the median does not chase either side's luck: best-of
+/// timing of each side on its own moved the u64 sort-leaf ratio between
+/// 0.85 and 1.10 from run to run on a shared 2-core host.
+pub(crate) fn paired(pairs: usize, mut time: impl FnMut(usize, usize) -> f64) -> (f64, f64, f64) {
+    let (mut zero, mut one, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..=pairs {
+        let mut t = [0.0; 2];
+        for side in [rep % 2, 1 - rep % 2] {
+            t[side] = time(rep, side);
+        }
+        if rep > 0 {
+            zero.push(t[0]);
+            one.push(t[1]);
+            ratios.push(t[0] / t[1]);
+        }
+    }
+    let median = |v: &[f64]| Stats::from_samples(v).median;
+    (median(&zero), median(&one), median(&ratios))
 }
 
 /// Turn-taking for the experiment tests that run real threads. They

@@ -7,7 +7,7 @@
 //!   (GCC-TBB, GCC-GNU, GCC-HPX, ICC-TBB, NVC-OMP) mapped to the
 //!   scheduling discipline + chunking policy that models it
 //!   ([`backends`]), measured by `pstl-harness`. This is what the
-//!   `pstl_bench` binary and the criterion benches drive.
+//!   `pstl_bench` binary and the measured `suite` experiments drive.
 //! * **Simulated mode** — the [`experiments`] modules sweep the
 //!   `pstl-sim` models of the paper's five machines to regenerate every
 //!   figure and table of the evaluation section. The `suite` binary runs

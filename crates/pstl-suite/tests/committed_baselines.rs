@@ -67,6 +67,13 @@ const MUTANTS: &[&str] = &[
     r#"kernel_calibrate reduce_u32_sum /kernels/1/speedup=0.9"#,
     r#"kernel_calibrate sort_u64_leaf /kernels/5/speedup=0.79"#,
     r#"kernel_calibrate digest_u32x64 /kernels/8/speedup=1.49"#,
+    r#"overhead_ladder task_pool/work_stealing@256 /rows/6/ratio=0.99"#,
+    // 1 µs of spin per fork-join task puts fork-join above work stealing.
+    r#"overhead_ladder work_stealing/fork_join@256 /rows/7/ratio=0.46"#,
+    r#"overhead_ladder fork_join/seq@256 /rows/8/ratio=1.19"#,
+    // A GNU threshold of 2^9 dispatches 2^10 at the NVC-OMP time.
+    r#"overhead_ladder GCC-GNU/GCC-SEQ@1024 /rows/9/ratio=6.0 /rows/10/ratio=0.99"#,
+    r#"overhead_ladder NVC-OMP/GCC-GNU@1024 /rows/10/ratio=1.29"#,
 ];
 
 /// The gates of the registry entry `name`, and its committed baseline.
@@ -109,8 +116,8 @@ fn committed_baselines_pass_their_own_checks() {
     let gated: Vec<_> = REGISTRY.iter().filter(|e| e.check.is_some()).collect();
     assert_eq!(
         gated.len(),
-        7,
-        "partitioner, find, numa, profile, service, stream, kernels"
+        8,
+        "partitioner, find, numa, profile, service, stream, kernels, overhead ladder"
     );
     for e in gated {
         let (check, doc) = committed(e.name);
